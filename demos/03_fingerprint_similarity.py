@@ -2,9 +2,9 @@
 """Fingerprints and pairwise Jaccard similarity.
 
 Any label source doubles as a binary fingerprint: the set of labels a
-compound carries. The similarity matrix stores each unordered pair once,
-drops the diagonal, and can be thresholded before it is handed to the
-regularized trainer.
+compound carries. The similarity matrix is one symmetric sparse matrix
+(both triangles, no diagonal), can be thresholded, and is handed as is to
+the regularized trainer; its pair listings show each unordered pair once.
 """
 
 import tempfile

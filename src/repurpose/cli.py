@@ -76,13 +76,29 @@ def _log_config(args):
     log.info("resolved config: %s", resolved)
 
 
+def _checked(build, **kwargs):
+    """Build a config object, reporting its ValueError as a usage error."""
+    try:
+        return build(**kwargs)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+
+
+def _train_config(args):
+    if not 0.0 <= args.sim_threshold <= 1.0:
+        raise ConfigError(
+            f"--sim-threshold must be in [0, 1], got {args.sim_threshold}")
+    return _checked(TrainConfig, rank=args.rank, lam=args.lam,
+                    max_iters=args.max_iters, rel_tol=args.tol, seed=args.seed)
+
+
 def _parse_k_list(text):
     try:
         ks = tuple(int(part) for part in text.split(",") if part.strip())
     except ValueError:
         raise ConfigError(f"bad -k list {text!r}; expected e.g. 30,50,100") from None
-    if not ks:
-        raise ConfigError("-k list is empty")
+    if not ks or min(ks) < 1:
+        raise ConfigError(f"bad -k list {text!r}; every k must be >= 1")
     return ks
 
 
@@ -109,19 +125,12 @@ def cmd_ingest(args):
 
 
 def cmd_generate_synthetic(args):
-    try:
-        spec = SyntheticSpec(
-            n_compounds=args.compounds,
-            n_targets=args.targets,
-            n_clusters=args.clusters,
-            labels_per_compound=args.labels_per_compound,
-            sources=tuple(args.sources.split(",")),
-            activity_type=args.activity_type,
-            label_noise=args.label_noise,
-            activity_noise=args.activity_noise,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    spec = _checked(
+        SyntheticSpec, n_compounds=args.compounds, n_targets=args.targets,
+        n_clusters=args.clusters, labels_per_compound=args.labels_per_compound,
+        sources=tuple(args.sources.split(",")),
+        activity_type=args.activity_type, label_noise=args.label_noise,
+        activity_noise=args.activity_noise)
     paths, _ = generate_synthetic(spec, args.out_dir, seed=args.seed)
     for path in paths:
         print(path)
@@ -133,11 +142,14 @@ def cmd_noir(args):
     sources = [s for s in args.sources.split(",") if s]
     if not sources:
         raise ConfigError("--sources is empty")
+    if args.top_n < 1:
+        raise ConfigError(f"--top-n must be >= 1, got {args.top_n}")
     os.makedirs(args.out_dir, exist_ok=True)
 
     results = {}
     for source in sources:
-        config = ReferenceSetConfig(
+        config = _checked(
+            ReferenceSetConfig,
             target=args.target,
             source=source,
             activity_type=args.activity_type,
@@ -188,10 +200,8 @@ def cmd_noir(args):
 
 
 def _train_model(corpus, args):
+    config = _train_config(args)
     interactions = build_interaction_matrix(corpus, args.activity_type)
-    config = TrainConfig(
-        rank=args.rank, lam=args.lam, max_iters=args.max_iters,
-        rel_tol=args.tol, seed=args.seed)
     source = _similarity_source(args.similarity)
     if source is None or args.lam == 0:
         model = train_nmf(interactions, config)
@@ -215,13 +225,16 @@ def cmd_train(args):
 
 
 def cmd_evaluate(args):
+    config = _train_config(args)
+    k_list = _parse_k_list(args.k)
+    if args.folds < 2:
+        raise ConfigError(f"--folds must be at least 2, got {args.folds}")
+    if min(args.min_train_targets, args.min_test_targets) < 1:
+        raise ConfigError(
+            "--min-train-targets and --min-test-targets must be >= 1")
     corpus = _load(args.data_dir)
     interactions = build_interaction_matrix(corpus, args.activity_type)
-    config = TrainConfig(
-        rank=args.rank, lam=args.lam, max_iters=args.max_iters,
-        rel_tol=args.tol, seed=args.seed)
     os.makedirs(args.out_dir, exist_ok=True)
-    k_list = _parse_k_list(args.k)
 
     variants = args.similarity or ["none"]
     reports = []

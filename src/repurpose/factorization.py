@@ -3,9 +3,9 @@
 The interaction matrix holds transformed activity values (potent = high).
 Two trainers share one multiplicative-update core: plain alternating
 updates, and a similarity-regularized variant whose update pulls the latent
-rows of similar compounds toward each other.  With a zero regularization
-weight the two produce bit-identical iterates, and the objective value is
-recorded every iteration so convergence can be audited after the fact.
+rows of similar compounds toward each other; with a zero weight the two
+give bit-identical iterates.  Every iteration records the objective, read off
+the updates' own products; :func:`objective` is the pairwise reference.
 """
 
 from __future__ import annotations
@@ -181,10 +181,10 @@ def _index_tuples(X, n, m):
 
 
 def _similarity_parts(S, X, n_rows):
-    """Validate S against X and return (symmetric CSR, degree vector,
-    upper-triangle triplets) or (None, None, None)."""
+    """Validate S against X and return (symmetric CSR, degree vector) or
+    (None, None)."""
     if S is None:
-        return None, None, None
+        return None, None
     if isinstance(S, SimilarityMatrix):
         if isinstance(X, InteractionMatrix):
             if S.compounds != X.compounds:
@@ -195,7 +195,7 @@ def _similarity_parts(S, X, n_rows):
             raise FactorizationError(
                 f"similarity index size {S.n_compounds} does not match "
                 f"matrix rows {n_rows}")
-        return S.to_csr(), S.degrees(), S.triplets()
+        return S.to_csr(), S.degrees()
 
     S_csr = sp.csr_matrix(np.asarray(S, dtype=np.float64)) if not sp.issparse(S) \
         else S.tocsr().astype(np.float64)
@@ -209,23 +209,25 @@ def _similarity_parts(S, X, n_rows):
         raise FactorizationError("similarity matrix must have a zero diagonal")
     if S_csr.nnz and S_csr.data.min() < 0:
         raise FactorizationError("similarity values must be non-negative")
-    degrees = np.asarray(S_csr.sum(axis=1)).ravel()
+    return S_csr, np.asarray(S_csr.sum(axis=1)).ravel()
+
+
+def _objective_from_products(x_sq, U, XV, gram_u, gram_v, lam=0.0,
+                             degrees=None, SU=None):
+    """J = 0.5 (||X||^2 - 2 <X V, U> + <U^T U, V^T V>), plus, when S U is
+    given, (lam/2) (sum_i d_i ||u_i||^2 - <U, S U>); X is never densified."""
+    value = 0.5 * (x_sq - 2.0 * float(np.sum(XV * U))
+                   + float(np.sum(gram_u * gram_v)))
+    if SU is not None:
+        spread = float(degrees @ np.einsum("ij,ij->i", U, U))
+        value += 0.5 * lam * (spread - float(np.sum(U * SU)))
+    return value
+
+
+def _penalty_term(S_csr, U, lam):
+    """(lam/2) * sum over stored pairs i < j of S_ij ||u_i - u_j||^2."""
     upper = sp.triu(S_csr, k=1).tocoo()
-    return S_csr, degrees, (upper.row, upper.col, upper.data)
-
-
-def _fit_term(X_csr, U, V):
-    """0.5 * ||X - U V^T||_F^2 without densifying X (Gram expansion)."""
-    xv = X_csr @ V
-    x_sq = float((X_csr.data ** 2).sum())
-    cross = float(np.sum(xv * U))
-    uv_sq = float(np.sum((U.T @ U) * (V.T @ V)))
-    return 0.5 * (x_sq - 2.0 * cross + uv_sq)
-
-
-def _penalty_term(triplets, U, lam):
-    """(lam/2) * sum over stored pairs of S_ij ||u_i - u_j||^2."""
-    rows, cols, vals = triplets
+    rows, cols, vals = upper.row, upper.col, upper.data
     total = 0.0
     for lo in range(0, len(vals), _PAIR_CHUNK):
         hi = lo + _PAIR_CHUNK
@@ -241,7 +243,8 @@ def objective(X, U, V, S=None, lam=0.0):
 
     Unstored entries of X count as zeros (dense Frobenius semantics); the
     penalty sums each unordered compound pair once, which makes its
-    gradient with respect to U exactly lam * (D - S) U.
+    gradient with respect to U exactly lam * (D - S) U.  Summed pair by
+    pair, it is the reference for the trainer's Laplacian-form trace.
     """
     X_csr = _as_csr(X)
     U = np.asarray(U, dtype=np.float64)
@@ -251,11 +254,11 @@ def objective(X, U, V, S=None, lam=0.0):
             or U.shape[1] != V.shape[1]:
         raise ValueError(
             f"shape mismatch: X {X_csr.shape}, U {U.shape}, V {V.shape}")
-    value = _fit_term(X_csr, U, V)
-    if S is None or lam == 0.0:
-        return value
-    _, _, triplets = _similarity_parts(S, X, n)
-    return value + _penalty_term(triplets, U, lam)
+    value = _objective_from_products(
+        float((X_csr.data ** 2).sum()), U, X_csr @ V, U.T @ U, V.T @ V)
+    if S is not None and lam != 0.0:
+        value += _penalty_term(_similarity_parts(S, X, n)[0], U, lam)
+    return value
 
 
 @dataclass(frozen=True, eq=False)
@@ -325,7 +328,7 @@ def _train_core(X, S, lam, config, on_iteration):
             f"rank {config.rank} exceeds min(rows, cols) = {min(n, m)}")
     if X_csr.nnz and X_csr.data.min() < 0:
         raise FactorizationError("input matrix must be nonnegative")
-    S_csr, degrees, triplets = _similarity_parts(S, X, n)
+    S_csr, degrees = _similarity_parts(S, X, n)
     regularize = lam > 0.0 and S_csr is not None
 
     rng = np.random.default_rng(config.seed)
@@ -337,20 +340,22 @@ def _train_core(X, S, lam, config, on_iteration):
     V = (1.0 - rng.random((m, config.rank))) * scale
 
     eps = config.epsilon_guard
+    x_sq = float((X_csr.data ** 2).sum())
 
-    def current_objective(U, V):
-        value = _fit_term(X_csr, U, V)
-        if regularize:
-            value += _penalty_term(triplets, U, lam)
-        return value
-
-    trace = [current_objective(U, V)]
+    # J is read off the products the updates use.  With L = D - S, the
+    # penalty (lam/2) sum_{i<j} S_ij ||u_i - u_j||^2 is the Laplacian form
+    # (lam/2) tr(U^T L U) = (lam/2) (sum_i d_i ||u_i||^2 - <U, S U>).  X V,
+    # V^T V and S U are formed once at the end of each iteration: they
+    # score it, then feed the next U-update (X V and S U in the numerator,
+    # V^T V in the denominator).  U^T U comes from the V-update.
+    XV, gram_v = X_csr @ V, V.T @ V
+    SU = S_csr @ U if regularize else None
+    trace = [_objective_from_products(
+        x_sq, U, XV, U.T @ U, gram_v, lam, degrees, SU)]
     converged = False
     for iteration in range(1, config.max_iters + 1):
-        XV = X_csr @ V
-        gram_v = V.T @ V
         if regularize:
-            U *= (XV + lam * (S_csr @ U)) / (U @ gram_v + lam * degrees[:, None] * U + eps)
+            U *= (XV + lam * SU) / (U @ gram_v + lam * degrees[:, None] * U + eps)
         else:
             U *= XV / (U @ gram_v + eps)
         XtU = X_csr.T @ U
@@ -359,7 +364,10 @@ def _train_core(X, S, lam, config, on_iteration):
         if __debug__:
             assert (U >= 0.0).all() and (V >= 0.0).all()
 
-        value = current_objective(U, V)
+        XV, gram_v = X_csr @ V, V.T @ V
+        SU = S_csr @ U if regularize else None
+        value = _objective_from_products(
+            x_sq, U, XV, gram_u, gram_v, lam, degrees, SU)
         if not (math.isfinite(value)
                 and np.isfinite(U).all() and np.isfinite(V).all()):
             raise FactorizationError(

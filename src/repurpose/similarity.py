@@ -3,9 +3,8 @@
 A fingerprint is the set of label bits a compound carries under one source
 (ontology labels or precomputed structural bits).  Pairwise Jaccard
 similarity over a compound index is computed via one sparse matrix product,
-stored once per unordered pair with the diagonal left out, and optionally
-thresholded for use as the regularization graph of the factorization
-trainer.
+optionally thresholded, and held as one symmetric CSR with the diagonal left
+out; that matrix is the regularization graph of the factorization trainer.
 """
 
 from __future__ import annotations
@@ -56,27 +55,24 @@ def build_fingerprints(corpus, source, compound_index=None):
 
 
 class SimilarityMatrix:
-    """Sparse symmetric compound-compound similarity, stored upper-triangle.
+    """Sparse symmetric compound-compound similarity held as one CSR.
 
-    Entries are kept once per unordered pair (i < j by position in the
-    compound index); queries present the symmetric view.  The diagonal is
-    excluded -- the regularization penalty is identically zero there.
+    Built once from upper-triangle triplets (i < j by position in the
+    compound index), the CSR holds both triangles with sorted indices; a
+    zero value is no edge and is not stored.  The diagonal is excluded --
+    the regularization penalty is zero there.
     """
 
     def __init__(self, compounds, rows, cols, values, threshold=0.0):
         self.compounds = tuple(compounds)
         self.threshold = float(threshold)
-        rows = np.asarray(rows, dtype=np.int64)
-        cols = np.asarray(cols, dtype=np.int64)
-        values = np.asarray(values, dtype=np.float64)
+        rows, cols = np.asarray(rows), np.asarray(cols)
         if not (rows < cols).all():
             raise ValueError("entries must satisfy row < col (upper triangle)")
-        order = np.lexsort((cols, rows))
-        self._rows = rows[order]
-        self._cols = cols[order]
-        self._values = values[order]
         n = len(self.compounds)
-        self._keys = self._rows * n + self._cols
+        upper = sp.csr_matrix(
+            (np.asarray(values, dtype=np.float64), (rows, cols)), shape=(n, n))
+        self._csr = upper + upper.T
         self._pos = {c: i for i, c in enumerate(self.compounds)}
 
     @property
@@ -85,7 +81,7 @@ class SimilarityMatrix:
 
     @property
     def n_pairs(self):
-        return len(self._values)
+        return self._csr.nnz // 2
 
     def position(self, compound):
         try:
@@ -99,40 +95,29 @@ class SimilarityMatrix:
         when both ids are the same, since the diagonal is not kept)."""
         i = self.position(compound_a)
         j = self.position(compound_b)
-        if i == j:
-            return 0.0
-        if i > j:
-            i, j = j, i
-        key = i * len(self.compounds) + j
-        at = np.searchsorted(self._keys, key)
-        if at < len(self._keys) and self._keys[at] == key:
-            return float(self._values[at])
+        lo, hi = self._csr.indptr[i], self._csr.indptr[i + 1]
+        at = lo + np.searchsorted(self._csr.indices[lo:hi], j)
+        if at < hi and self._csr.indices[at] == j:
+            return float(self._csr.data[at])
         return 0.0
 
     def pairs(self):
-        """Yield (compound_i, compound_j, value) per stored pair."""
-        for i, j, v in zip(self._rows, self._cols, self._values):
+        """Yield (compound_i, compound_j, value) per stored pair, i < j."""
+        for i, j, v in zip(*self.triplets()):
             yield self.compounds[i], self.compounds[j], float(v)
 
     def triplets(self):
-        """Raw (rows, cols, values) arrays of the stored upper triangle."""
-        return self._rows, self._cols, self._values
+        """(rows, cols, values) arrays of the upper triangle, row-major."""
+        upper = sp.triu(self._csr, k=1).tocoo()
+        return upper.row, upper.col, upper.data
 
     def to_csr(self):
-        """Full symmetric scipy CSR view (both triangles, zero diagonal)."""
-        n = len(self.compounds)
-        rows = np.concatenate([self._rows, self._cols])
-        cols = np.concatenate([self._cols, self._rows])
-        data = np.concatenate([self._values, self._values])
-        return sp.csr_matrix((data, (rows, cols)), shape=(n, n))
+        """The stored symmetric CSR (both triangles, zero diagonal)."""
+        return self._csr
 
     def degrees(self):
-        """Row sums of the symmetric view (the D diagonal of L = D - S)."""
-        n = len(self.compounds)
-        deg = np.zeros(n)
-        np.add.at(deg, self._rows, self._values)
-        np.add.at(deg, self._cols, self._values)
-        return deg
+        """Row sums of the symmetric matrix (the D diagonal of L = D - S)."""
+        return np.asarray(self._csr.sum(axis=1)).ravel()
 
     def __repr__(self):
         return (f"SimilarityMatrix({self.n_compounds} compounds, "
@@ -167,11 +152,12 @@ def build_similarity_matrix(corpus, source, compound_index=None, threshold=0.0):
         (np.ones(len(rows)), (rows, cols)), shape=(n, n_bits))
 
     inter = sp.triu(bit_matrix @ bit_matrix.T, k=1).tocoo()
-    union = sizes[inter.row] + sizes[inter.col] - inter.data
-    sims = inter.data / union
+    sims = inter.data / (sizes[inter.row] + sizes[inter.col] - inter.data)
     keep = sims >= threshold if threshold > 0.0 else slice(None)
-    return SimilarityMatrix(
-        compound_index, inter.row[keep], inter.col[keep], sims[keep], threshold)
+    rows, cols, sims = inter.row[keep], inter.col[keep], sims[keep]
+    # the unthresholded pairs are freed before the symmetric CSR is built
+    del inter, keep
+    return SimilarityMatrix(compound_index, rows, cols, sims, threshold)
 
 
 def write_similarity_tsv(matrix, path):

@@ -295,6 +295,30 @@ class TestParser:
         assert evaluate.sample_size == 10_000
         assert evaluate.min_train_targets == evaluate.min_test_targets == 3
 
+    @pytest.mark.parametrize("argv", [
+        ("train", "--rank", "0", "--out", "m.tsv"),
+        ("train", "--similarity", "jaccard:CF", "--sim-threshold", "1.5",
+         "--out", "m.tsv"),
+        ("evaluate", "--folds", "1", "--out-dir", "eval"),
+        ("evaluate", "-k", "0,30", "--out-dir", "eval"),
+        ("evaluate", "--min-train-targets", "0", "--out-dir", "eval"),
+        ("noir", "--target", "T0000", "--activity-type", "IC50",
+         "--min-count", "1", "--out-dir", "noir"),
+        ("noir", "--target", "T0000", "--activity-type", "IC50",
+         "--top-n", "0", "--out-dir", "noir"),
+    ], ids=["rank", "sim-threshold", "folds", "k", "min-train-targets",
+            "min-count", "top-n"])
+    def test_invalid_numeric_flag_is_config_error(self, argv, data_dir,
+                                                  tmp_path, capsys,
+                                                  monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        code = main([*argv, "--data-dir", str(data_dir)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "Traceback" not in err
+        assert len([line for line in err.splitlines()
+                    if line.startswith("ERROR")]) == 1
+
     def test_help_lists_subcommands(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--help"])

@@ -6,6 +6,7 @@ from repurpose import (
     FactorizationError,
     FormatError,
     NoInteractionsError,
+    SimilarityMatrix,
     TrainConfig,
     UnknownCompoundError,
     UnknownTargetError,
@@ -304,6 +305,30 @@ class TestTrainCsnmf:
                        - objective(X, um, V, S, lam)) / (2 * h)
             denom = max(abs(numeric), abs(analytic[i, j]), 1e-12)
             assert abs(numeric - analytic[i, j]) / denom < 1e-4
+
+    @pytest.mark.parametrize("variant", ["nmf", "similarity-matrix", "ndarray"])
+    def test_trace_matches_reference_objective(self, variant):
+        rng = np.random.default_rng(45)
+        X = random_sparse(rng, 30, 12)
+        dense = random_symmetric(rng, 30, density=0.3)
+        rows, cols = np.nonzero(np.triu(dense, k=1))
+        S = {"nmf": None, "ndarray": dense,
+             "similarity-matrix": SimilarityMatrix(
+                 [str(i) for i in range(30)], rows, cols, dense[rows, cols]),
+             }[variant]
+        config = TrainConfig(rank=4, lam=0.3, max_iters=40, rel_tol=1e-12,
+                             seed=3)
+        lam = 0.0 if S is None else config.lam
+        pairs = []
+
+        def record(iteration, U, V, value):
+            pairs.append((value, objective(X, U, V, S, lam)))
+
+        model = (train_nmf(X, config, record) if S is None
+                 else train_csnmf(X, S, config, record))
+        assert len(pairs) == len(model.objective_trace) - 1 > 0
+        for traced, reference in pairs:
+            assert abs(traced - reference) <= 1e-12 * abs(reference)
 
     def test_missing_similarity_rejected(self):
         with pytest.raises(FactorizationError):

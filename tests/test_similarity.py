@@ -5,6 +5,7 @@ from helpers import oracle_jaccard_pairs
 
 from repurpose import (
     Fingerprint,
+    SimilarityMatrix,
     UnknownCompoundError,
     build_fingerprints,
     build_similarity_matrix,
@@ -150,6 +151,27 @@ class TestBuildSimilarityMatrix:
         assert set(got) == set(expected)
         for pair, value in expected.items():
             assert got[pair] == pytest.approx(value, rel=1e-12)
+
+        # rebuilt from shuffled upper triplets, the matrix keeps its contract
+        rows, cols, values = matrix.triplets()
+        order = rng.permutation(len(values))
+        rebuilt = SimilarityMatrix(
+            matrix.compounds, rows[order], cols[order], values[order])
+        got_rows, got_cols, got_values = rebuilt.triplets()
+        assert np.array_equal(np.lexsort((got_cols, got_rows)),
+                              np.arange(len(got_values)))
+        assert np.array_equal(got_rows, rows)
+        assert np.array_equal(got_cols, cols)
+        assert np.array_equal(got_values, values)
+        for (a, b), value in got.items():
+            assert rebuilt.get(a, b) == rebuilt.get(b, a) == value
+        csr = rebuilt.to_csr()
+        for lo, hi in zip(csr.indptr[:-1], csr.indptr[1:]):
+            assert np.all(np.diff(csr.indices[lo:hi]) > 0)
+        assert not csr.diagonal().any()
+        for bad_rows, bad_cols in (([cols[0]], [rows[0]]), ([3], [3])):
+            with pytest.raises(ValueError, match="row < col"):
+                SimilarityMatrix(matrix.compounds, bad_rows, bad_cols, [0.5])
 
 
 class TestSimilarityDump:
