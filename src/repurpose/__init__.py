@@ -24,6 +24,7 @@ from .corpus import (
     ONTOCHEM,
     ActivityRecord,
     Corpus,
+    LabelIndex,
     load_corpus,
 )
 from .errors import (

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__
 from .corpus import load_corpus
-from .errors import RepurposeError
+from .errors import FormatError, RepurposeError
 from .evaluation import (
     cross_validate,
     format_eval_table,
@@ -37,6 +37,7 @@ from .factorization import (
 from .noir import (
     ReferenceSetConfig,
     build_reference_set,
+    consensus,
     read_reference_set,
     retrieve,
     write_reference_set,
@@ -165,7 +166,10 @@ def cmd_noir(args):
                                   f"reference_{source}.tsv")
             if not os.path.isfile(edited):
                 raise ConfigError(f"edited reference file not found: {edited}")
-            loaded = read_reference_set(edited, target=args.target)
+            try:
+                loaded = read_reference_set(edited, target=args.target)
+            except FormatError as exc:
+                raise ConfigError(str(exc)) from None
             relevant = corpus.compounds_for_target(
                 args.target, args.activity_type, args.threshold)
             reference = loaded
@@ -187,9 +191,7 @@ def cmd_noir(args):
     if len(sources) < 2:
         log.warning("only one source requested; no consensus file written")
         return 0
-    agreed = set(results[sources[0]].compound_ids())
-    for source in sources[1:]:
-        agreed &= set(results[source].compound_ids())
+    agreed = consensus(*results.values())
     consensus_path = os.path.join(args.out_dir, "consensus.tsv")
     with open(consensus_path, "w", encoding="utf-8") as fh:
         fh.write("compound_id\n")
@@ -232,6 +234,8 @@ def cmd_evaluate(args):
     if min(args.min_train_targets, args.min_test_targets) < 1:
         raise ConfigError(
             "--min-train-targets and --min-test-targets must be >= 1")
+    if args.sample_size < 1:
+        raise ConfigError(f"--sample-size must be >= 1, got {args.sample_size}")
     corpus = _load(args.data_dir)
     interactions = build_interaction_matrix(corpus, args.activity_type)
     os.makedirs(args.out_dir, exist_ok=True)

@@ -1,11 +1,15 @@
 """TSV-backed corpus of compounds, ontological labels, and activity records.
 
 A corpus is built once from three flat files (compounds, labels, activities)
-and is immutable afterwards, so concurrent readers need no locking.  It keeps
-the indexes every downstream stage relies on: per-source label sets per
-compound, the reverse label -> compounds map, corpus-wide label counts, and
-activity values aggregated to the most potent (minimum) measurement per
-(compound, target, activity type).
+and is immutable afterwards, so concurrent readers need no locking.  Each
+label source is held as one compound x label incidence matrix (a CSR whose
+rows follow the sorted compound ids and whose columns are the source's
+labels in sorted order, so every row's indices are sorted) together with
+its column counts.  NOIR counts and document scores, fingerprints and
+Jaccard similarity all read that matrix; `labels_of`, `compounds_with_label`
+and the label counts are views over it.  Activity values are aggregated to
+the most potent (minimum) measurement per (compound, target, activity
+type) and indexed by target and by compound.
 """
 
 from __future__ import annotations
@@ -13,6 +17,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Iterable
+
+import numpy as np
+import scipy.sparse as sp
 
 from .errors import (
     FormatError,
@@ -73,6 +80,54 @@ def _iter_rows(path, columns, header_required):
             yield lineno, fields
 
 
+@dataclass(frozen=True, eq=False)
+class LabelIndex:
+    """One source's compound x label incidence matrix.
+
+    matrix: CSR of 1.0 entries, one row per corpus compound in
+        `Corpus.compound_ids()` order, one column per label in `labels`
+        order; indices are sorted within each row.
+    labels: the source's distinct labels, sorted.
+    column: {label: column index}.
+    counts: number of compounds carrying each label (column counts).
+    """
+
+    matrix: sp.csr_matrix
+    labels: tuple[str, ...]
+    column: dict
+    counts: np.ndarray
+
+    @classmethod
+    def build(cls, compound_ids, per_compound):
+        """Intern labels in sorted order and lay out one CSR row per id."""
+        labels = tuple(sorted(set().union(*per_compound.values())))
+        column = {label: j for j, label in enumerate(labels)}
+        indices, row_lengths = [], []
+        for compound in compound_ids:
+            row = sorted(column[label] for label in per_compound.get(compound, ()))
+            indices.extend(row)
+            row_lengths.append(len(row))
+        indptr = np.concatenate(([0], np.cumsum(row_lengths, dtype=np.int64)))
+        indices = np.asarray(indices, dtype=np.int64)
+        matrix = sp.csr_matrix(
+            (np.ones(len(indices)), indices, indptr),
+            shape=(len(compound_ids), len(labels)))
+        counts = np.bincount(matrix.indices, minlength=len(labels))
+        return cls(matrix, labels, column, counts)
+
+    def row_labels(self, row):
+        """Labels of one matrix row, in sorted order."""
+        lo, hi = self.matrix.indptr[row], self.matrix.indptr[row + 1]
+        return [self.labels[j] for j in self.matrix.indices[lo:hi]]
+
+    def __eq__(self, other):
+        if not isinstance(other, LabelIndex):
+            return NotImplemented
+        return (self.labels == other.labels
+                and np.array_equal(self.matrix.indptr, other.matrix.indptr)
+                and np.array_equal(self.matrix.indices, other.matrix.indices))
+
+
 class Corpus:
     """Immutable indexed view of compounds, labels, and activity records.
 
@@ -82,34 +137,28 @@ class Corpus:
 
     def __init__(self, smiles, label_sets, activity_values):
         # smiles: {compound_id: smiles_string}
-        # label_sets: {source: {compound_id: frozenset(labels)}}
+        # label_sets: {source: {compound_id: set(labels)}}
         # activity_values: {(compound, target, type): min_value_nm}
         self._smiles = dict(smiles)
         self._compound_ids = tuple(sorted(self._smiles))
-        self._compound_set = frozenset(self._compound_ids)
+        self._position = {c: i for i, c in enumerate(self._compound_ids)}
 
-        self._labels_by_compound = {}
-        self._compounds_by_label = {}
-        for source, per_compound in label_sets.items():
-            self._labels_by_compound[source] = {
-                c: frozenset(labels) for c, labels in per_compound.items()}
-            reverse = {}
-            for c, labels in per_compound.items():
-                for label in labels:
-                    reverse.setdefault(label, set()).add(c)
-            self._compounds_by_label[source] = {
-                label: frozenset(cs) for label, cs in reverse.items()}
-        self._sources = tuple(sorted(self._labels_by_compound))
+        self._label_index = {
+            source: LabelIndex.build(self._compound_ids, per_compound)
+            for source, per_compound in label_sets.items()}
+        self._sources = tuple(sorted(self._label_index))
+        self._no_labels = LabelIndex.build(self._compound_ids, {})
 
         self._activity = dict(activity_values)
-        by_target = {}
-        targets = set()
-        for (c, t, atype), value in self._activity.items():
-            targets.add(t)
+        by_target, by_compound = {}, {}
+        for key, value in self._activity.items():
+            c, t, atype = key
             by_target.setdefault((t, atype), {})[c] = value
+            by_compound.setdefault(c, []).append(key)
         self._by_target = by_target
-        self._target_ids = tuple(sorted(targets))
-        self._target_set = frozenset(targets)
+        self._by_compound = by_compound
+        self._target_ids = tuple(sorted({t for t, _ in by_target}))
+        self._target_set = frozenset(self._target_ids)
 
     # -- construction --------------------------------------------------
 
@@ -172,7 +221,16 @@ class Corpus:
         return self._compound_ids
 
     def has_compound(self, compound):
-        return compound in self._compound_set
+        return compound in self._position
+
+    def positions(self, compounds):
+        """Row of each compound in `compound_ids()` order, as an int array."""
+        try:
+            return np.fromiter((self._position[c] for c in compounds),
+                               dtype=np.intp)
+        except KeyError as exc:
+            raise UnknownCompoundError(
+                f"unknown compound {exc.args[0]!r}") from None
 
     def smiles_of(self, compound):
         try:
@@ -193,43 +251,49 @@ class Corpus:
         """Label sources seen during ingestion, sorted."""
         return self._sources
 
-    def _source_map(self, source):
+    def label_index(self, source):
+        """The compound x label incidence matrix of one source."""
         try:
-            return self._labels_by_compound[source]
+            return self._label_index[source]
         except KeyError:
             # The well-known sources are always valid query targets, even in
             # a corpus where no label of theirs was ingested; only free-form
             # source names must have been seen to be queryable.
             if source in (CLASSYFIRE, ONTOCHEM, MORGAN):
-                return {}
+                return self._no_labels
             raise UnknownSourceError(
                 f"unknown label source {source!r}; corpus has {list(self._sources)!r}"
             ) from None
 
     def labels_of(self, compound, source):
         """Labels carried by `compound` under `source` (may be empty)."""
-        per_compound = self._source_map(source)
-        if compound not in self._compound_set:
+        index = self.label_index(source)
+        if compound not in self._position:
             raise UnknownCompoundError(f"unknown compound {compound!r}")
-        return per_compound.get(compound, frozenset())
+        return frozenset(index.row_labels(self._position[compound]))
 
     def source_labels(self, source):
         """All distinct labels of one source, sorted."""
-        self._source_map(source)
-        return tuple(sorted(self._compounds_by_label.get(source, ())))
+        return self.label_index(source).labels
 
     def compounds_with_label(self, source, label):
-        self._source_map(source)
-        return self._compounds_by_label.get(source, {}).get(label, frozenset())
+        index = self.label_index(source)
+        j = index.column.get(label)
+        if j is None:
+            return frozenset()
+        rows = np.flatnonzero(np.diff(index.matrix[:, [j]].indptr))
+        return frozenset(self._compound_ids[i] for i in rows)
 
     def label_count(self, source, label):
         """Corpus-wide count: number of distinct compounds carrying the label."""
-        return len(self.compounds_with_label(source, label))
+        index = self.label_index(source)
+        j = index.column.get(label)
+        return 0 if j is None else int(index.counts[j])
 
     def label_count_in_set(self, source, label, compound_set):
         """Number of compounds in `compound_set` carrying `label` under `source`."""
         compound_set = set(compound_set)
-        unknown = compound_set - self._compound_set
+        unknown = compound_set - self._position.keys()
         if unknown:
             raise UnknownCompoundError(
                 f"compound set contains unknown ids: {sorted(unknown)!r}")
@@ -266,12 +330,10 @@ class Corpus:
 
     def targets_of(self, compound, activity_type=None):
         """Targets with at least one record for `compound` (optionally of one type)."""
-        if compound not in self._compound_set:
+        if compound not in self._position:
             raise UnknownCompoundError(f"unknown compound {compound!r}")
-        return {
-            t for (c, t, atype) in self._activity
-            if c == compound and (activity_type is None or atype == activity_type)
-        }
+        return {t for (_, t, atype) in self._by_compound.get(compound, ())
+                if activity_type is None or atype == activity_type}
 
     # -- misc --------------------------------------------------------------
 
@@ -279,7 +341,7 @@ class Corpus:
         if not isinstance(other, Corpus):
             return NotImplemented
         return (self._smiles == other._smiles
-                and self._labels_by_compound == other._labels_by_compound
+                and self._label_index == other._label_index
                 and self._activity == other._activity)
 
     def __hash__(self):

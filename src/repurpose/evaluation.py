@@ -129,6 +129,8 @@ def recall_at_k(model, train_X, test_triples, k_list=(30, 50, 100),
         raise ValueError("every k must be >= 1")
     if min_train_targets < 1 or min_test_targets < 1:
         raise ValueError("target minimums must be >= 1")
+    if sample_size < 1:
+        raise ValueError(f"sample_size must be >= 1, got {sample_size}")
 
     train_csr = _as_csr(train_X)
     test_by_row = {}
@@ -213,6 +215,9 @@ def cross_validate(X, config, S=None, n_folds=5, k_list=(30, 50, 100),
     `config.lam` > 0, plain NMF otherwise.  Per-compound recalls are pooled
     across folds before the mean/std summary.
     """
+    if sample_size < 1:
+        # checked again in recall_at_k, but before any fold is trained here
+        raise ValueError(f"sample_size must be >= 1, got {sample_size}")
     split = split_folds(X, n_folds=n_folds, seed=seed)
     regularized = S is not None and config.lam > 0
     if label is None:

@@ -12,7 +12,10 @@ two different label sources can be intersected into a consensus set.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import FormatError, NoRelevantCompoundsError
 
@@ -175,21 +178,18 @@ def build_reference_set(corpus, config):
 
     n_relevant = len(relevant)
     n_corpus = corpus.n_compounds
-
-    observed = {}
-    for compound in relevant:
-        for label in corpus.labels_of(compound, config.source):
-            observed[label] = observed.get(label, 0) + 1
+    index = corpus.label_index(config.source)
+    observed = np.bincount(index.matrix[corpus.positions(relevant)].indices,
+                           minlength=len(index.labels))
+    candidates = np.flatnonzero((observed >= config.min_relevant_count)
+                                & (index.counts <= config.noise_cap))
 
     scored = []
-    for label, count in observed.items():
-        if count < config.min_relevant_count:
-            continue
-        corpus_count = corpus.label_count(config.source, label)
-        if corpus_count > config.noise_cap:
-            continue
+    for j in candidates:
+        count, corpus_count = int(observed[j]), int(index.counts[j])
         expected, score = term_score(count, corpus_count, n_relevant, n_corpus)
-        scored.append(ScoredLabel(label, count, expected, corpus_count, score))
+        scored.append(
+            ScoredLabel(index.labels[j], count, expected, corpus_count, score))
 
     if not scored:
         log.warning(
@@ -203,18 +203,6 @@ def build_reference_set(corpus, config):
         config, frozenset(relevant), n_corpus, tuple(scored[:config.set_size]))
 
 
-def _score_labels(labels, score_map):
-    """Shared scoring core: (score, L, matched) for one document's labels."""
-    n_labels = len(labels)
-    if n_labels == 0:
-        return 0.0, 0, ()
-    matched = sorted(l for l in labels if l in score_map)
-    total = 0.0
-    for label in matched:
-        total += score_map[label]
-    return total / n_labels, n_labels, tuple(matched)
-
-
 def doc_score(compound_labels, reference_set):
     """Score one document (compound) against a reference set.
 
@@ -223,7 +211,15 @@ def doc_score(compound_labels, reference_set):
     reference set contribute 0 but still count toward L, so promiscuously
     labeled compounds are diluted.  A compound with no labels scores 0.
     """
-    return _score_labels(frozenset(compound_labels), reference_set.score_map())
+    labels = frozenset(compound_labels)
+    if not labels:
+        return 0.0, 0, ()
+    score_map = reference_set.score_map()
+    matched = sorted(l for l in labels if l in score_map)
+    total = 0.0
+    for label in matched:
+        total += score_map[label]
+    return total / len(labels), len(labels), tuple(matched)
 
 
 def retrieve(corpus, reference_set, exclude=frozenset(), top_n=DEFAULT_TOP_N):
@@ -231,33 +227,55 @@ def retrieve(corpus, reference_set, exclude=frozenset(), top_n=DEFAULT_TOP_N):
 
     Zero-scoring compounds (nothing matched) are omitted.  Ties are broken
     by compound id, so output is deterministic.
+
+    All documents are scored at once as (B @ w) / L, with B the source's
+    compound x label matrix, w the reference score of each label column and
+    L the row lengths.  The matvec adds a row's terms in column order, which
+    is sorted label order, so each score is the same float `doc_score`
+    gives.
     """
     if top_n < 1:
         raise ValueError("top_n must be >= 1")
-    exclude = frozenset(exclude)
-    score_map = reference_set.score_map()
     source = reference_set.source
+    index = corpus.label_index(source)
+    weights = np.zeros(len(index.labels))
+    in_reference = np.zeros(len(index.labels), dtype=bool)
+    for label, score in reference_set.score_map().items():
+        j = index.column.get(label)
+        if j is not None:
+            weights[j] = score
+            in_reference[j] = True
 
-    hits = []
-    for compound in corpus.compound_ids():
-        if compound in exclude:
-            continue
-        score, n_labels, matched = _score_labels(
-            corpus.labels_of(compound, source), score_map)
-        if score == 0.0:
-            continue
-        hits.append(RankedCompound(compound, score, n_labels, matched))
+    matrix = index.matrix
+    n_labels = np.diff(matrix.indptr)
+    totals = matrix @ weights
+    scores = np.divide(totals, n_labels, out=np.zeros_like(totals),
+                       where=n_labels > 0)
+    excluded = frozenset(c for c in exclude if corpus.has_compound(c))
+    scores[corpus.positions(excluded)] = 0.0
+    hits = np.flatnonzero(scores != 0.0)
+    ranked = hits[np.lexsort((hits, -scores[hits]))][:top_n]
 
-    hits.sort(key=lambda e: (-e.score, e.compound))
+    compounds = corpus.compound_ids()
+    entries = []
+    for row in ranked:
+        lo, hi = matrix.indptr[row], matrix.indptr[row + 1]
+        columns = matrix.indices[lo:hi]
+        matched = tuple(index.labels[j] for j in columns[in_reference[columns]])
+        entries.append(RankedCompound(
+            compounds[row], float(scores[row]), int(n_labels[row]), matched))
     return RetrievalResult(
-        entries=tuple(hits[:top_n]),
-        excluded=exclude & frozenset(corpus.compound_ids()),
-        source=source)
+        entries=tuple(entries), excluded=excluded, source=source)
 
 
-def consensus(result_a, result_b):
-    """Compounds retrieved by both runs (set intersection of the rankings)."""
-    return set(result_a.compound_ids()) & set(result_b.compound_ids())
+def consensus(*results):
+    """Compounds retrieved by every run (set intersection of the rankings)."""
+    if not results:
+        raise ValueError("consensus needs at least one retrieval result")
+    agreed = set(results[0].compound_ids())
+    for result in results[1:]:
+        agreed &= set(result.compound_ids())
+    return agreed
 
 
 # -- TSV import/export ------------------------------------------------------
@@ -284,21 +302,29 @@ def write_reference_set(reference_set, path):
 def read_reference_set(path, target=""):
     """Read a (possibly hand-edited) reference-set TSV back for retrieval.
 
+    Lines starting with '#' are comments only above the header row (or
+    above the first data row when the header is left out); after it every
+    non-blank line is a data row, so a label may start with '#'.  E and
+    score must be finite.
+
     The returned set carries no relevant-set or corpus-size information
     (those are not part of the file format); it is sufficient for
     :func:`doc_score` and :func:`retrieve`.
     """
+    header = tuple(c.lower() for c in _REFSET_COLUMNS)
     labels = []
     source = None
+    in_preamble = True
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.rstrip("\r\n")
-            if not line.strip() or line.startswith("#"):
+            if not line.strip() or (in_preamble and line.startswith("#")):
                 continue
             fields = line.split("\t")
-            if tuple(f.strip().lower() for f in fields) == tuple(
-                    c.lower() for c in _REFSET_COLUMNS):
-                continue
+            if in_preamble:
+                in_preamble = False
+                if tuple(f.strip().lower() for f in fields) == header:
+                    continue
             if len(fields) != len(_REFSET_COLUMNS):
                 raise FormatError(
                     path, lineno,
@@ -311,10 +337,13 @@ def read_reference_set(path, target=""):
                     path, lineno,
                     f"mixed sources in one reference set: {source!r} vs {row_source!r}")
             try:
-                labels.append(ScoredLabel(
-                    label, int(o), float(e), int(c), float(score)))
+                scored = ScoredLabel(label, int(o), float(e), int(c), float(score))
             except ValueError as exc:
                 raise FormatError(path, lineno, f"bad numeric field: {exc}") from None
+            if not (math.isfinite(scored.expected) and math.isfinite(scored.score)):
+                raise FormatError(
+                    path, lineno, f"E and score must be finite, got {e!r}, {score!r}")
+            labels.append(scored)
     if source is None:
         raise FormatError(path, 0, "reference set file has no label rows")
     config = ReferenceSetConfig(target=target, source=source)

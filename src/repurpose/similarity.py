@@ -1,10 +1,12 @@
 """Label-set fingerprints and sparse Jaccard similarity matrices.
 
 A fingerprint is the set of label bits a compound carries under one source
-(ontology labels or precomputed structural bits).  Pairwise Jaccard
-similarity over a compound index is computed via one sparse matrix product,
-optionally thresholded, and held as one symmetric CSR with the diagonal left
-out; that matrix is the regularization graph of the factorization trainer.
+(ontology labels or precomputed structural bits); bit j is column j of the
+corpus's compound x label matrix for that source, so bits follow sorted
+label order.  Pairwise Jaccard similarity over a compound index is one
+sparse product of that matrix's rows with their own transpose, optionally
+thresholded, and is held as one symmetric CSR with the diagonal left out;
+that matrix is the regularization graph of the factorization trainer.
 """
 
 from __future__ import annotations
@@ -37,21 +39,19 @@ def jaccard(a, b):
 
 
 def build_fingerprints(corpus, source, compound_index=None):
-    """Intern one source's labels to integer bits and emit fingerprints.
+    """Fingerprints of `compound_index` (all compounds by default) under one
+    source.
 
-    Bit ids are assigned by sorted label order, so the interning is
-    deterministic for a given corpus.  Compounds without labels get an
-    empty fingerprint.
+    Bit ids are the columns of the corpus's label matrix, assigned in sorted
+    label order, so the interning is deterministic for a given corpus.
+    Compounds without labels get an empty fingerprint.
     """
     if compound_index is None:
         compound_index = corpus.compound_ids()
-    bit_of = {label: i for i, label in enumerate(corpus.source_labels(source))}
-    fingerprints = []
-    for compound in compound_index:
-        labels = corpus.labels_of(compound, source)
-        fingerprints.append(
-            Fingerprint(compound, frozenset(bit_of[l] for l in labels)))
-    return fingerprints
+    rows = corpus.label_index(source).matrix[corpus.positions(compound_index)]
+    return [Fingerprint(compound, frozenset(
+                rows.indices[rows.indptr[i]:rows.indptr[i + 1]].tolist()))
+            for i, compound in enumerate(compound_index)]
 
 
 class SimilarityMatrix:
@@ -139,17 +139,9 @@ def build_similarity_matrix(corpus, source, compound_index=None, threshold=0.0):
     if len(set(compound_index)) != len(compound_index):
         raise ValueError("compound_index contains duplicates")
 
-    fingerprints = build_fingerprints(corpus, source, compound_index)
-    n = len(compound_index)
-    sizes = np.array([len(fp.bits) for fp in fingerprints], dtype=np.float64)
-
-    rows, cols = [], []
-    for i, fp in enumerate(fingerprints):
-        rows.extend([i] * len(fp.bits))
-        cols.extend(fp.bits)
-    n_bits = (max(cols) + 1) if cols else 0
-    bit_matrix = sp.csr_matrix(
-        (np.ones(len(rows)), (rows, cols)), shape=(n, n_bits))
+    bit_matrix = corpus.label_index(source).matrix[
+        corpus.positions(compound_index)]
+    sizes = np.diff(bit_matrix.indptr).astype(np.float64)
 
     inter = sp.triu(bit_matrix @ bit_matrix.T, k=1).tocoo()
     sims = inter.data / (sizes[inter.row] + sizes[inter.col] - inter.data)

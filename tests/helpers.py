@@ -1,9 +1,16 @@
 """Independent brute-force oracles used by the unit and acceptance tests.
 
-Everything here works on raw row lists with plain dict/loop arithmetic and
-never goes through the package's indexes, so agreement between these
-functions and the library is a genuine two-route check.
+The oracles work on raw row lists with plain dict/loop arithmetic and never
+go through the package's indexes, so agreement between these functions and
+the library is a genuine two-route check.  `bit_matrix_similarity` is the
+one reference that reads the corpus: it builds the Jaccard graph compound
+by compound from `labels_of`, the route the label matrix replaced.
 """
+
+import numpy as np
+import scipy.sparse as sp
+
+from repurpose import SimilarityMatrix
 
 
 def oracle_reference(compound_ids, label_rows, activity_rows, *, target,
@@ -71,6 +78,26 @@ def oracle_doc_scores(compound_ids, label_rows, *, source, ref_scores,
     return scores
 
 
+def oracle_ranking(compound_ids, label_rows, *, source, ref_scores,
+                   exclude=frozenset()):
+    """The full retrieval ranking from raw rows, one compound at a time.
+
+    Returns [(compound, score, n_labels, matched)] by descending score, ties
+    by compound id, with zero scores left out; `matched` is the compound's
+    labels that are keys of `ref_scores`, sorted.
+    """
+    labels_by_compound = {}
+    for cid, src, label in label_rows:
+        if src == source:
+            labels_by_compound.setdefault(cid, set()).add(label)
+    scores = oracle_doc_scores(compound_ids, label_rows, source=source,
+                               ref_scores=ref_scores, exclude=exclude)
+    ranked = sorted(scores.items(), key=lambda item: (-item[1][0], item[0]))
+    return [(cid, score, n_labels,
+             tuple(sorted(l for l in labels_by_compound[cid] if l in ref_scores)))
+            for cid, (score, n_labels) in ranked]
+
+
 def oracle_jaccard_pairs(bit_sets):
     """All-pairs Jaccard by double loop over a {compound: set} mapping.
 
@@ -88,6 +115,33 @@ def oracle_jaccard_pairs(bit_sets):
             if value > 0.0:
                 pairs[(a, b)] = value
     return pairs
+
+
+def bit_matrix_similarity(corpus, source, compound_index, threshold=0.0):
+    """A Jaccard graph built compound by compound from `labels_of`.
+
+    Labels are interned to bits in sorted order, a bit matrix is assembled
+    from per-compound (row, bit) lists, and the same product and threshold
+    as `build_similarity_matrix` give the pairs.  It is the reference the
+    library's label-matrix rows are compared with bit for bit.
+    """
+    bit_of = {label: i for i, label in enumerate(corpus.source_labels(source))}
+    rows, cols, sizes = [], [], []
+    for i, compound in enumerate(compound_index):
+        bits = [bit_of[label] for label in corpus.labels_of(compound, source)]
+        rows.extend([i] * len(bits))
+        cols.extend(bits)
+        sizes.append(len(bits))
+    n = len(compound_index)
+    bit_matrix = sp.csr_matrix(
+        (np.ones(len(rows)), (rows, cols)),
+        shape=(n, (max(cols) + 1) if cols else 0))
+    sizes = np.array(sizes, dtype=np.float64)
+    inter = sp.triu(bit_matrix @ bit_matrix.T, k=1).tocoo()
+    sims = inter.data / (sizes[inter.row] + sizes[inter.col] - inter.data)
+    keep = sims >= threshold if threshold > 0.0 else slice(None)
+    return SimilarityMatrix(compound_index, inter.row[keep], inter.col[keep],
+                            sims[keep], threshold)
 
 
 def write_corpus_files(directory, compounds, label_rows, activity_rows):

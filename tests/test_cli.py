@@ -142,6 +142,27 @@ class TestNoir:
         assert matched == {reference[1].split("\t")[0]}
 
 
+    def test_non_finite_edited_score_is_config_error(self, data_dir, tmp_path,
+                                                     capsys):
+        first = tmp_path / "first"
+        args = ["noir", "--data-dir", str(data_dir), "--target", "T0000",
+                "--activity-type", "IC50", "--sources", "CF"]
+        assert main(args + ["--out-dir", str(first)]) == 0
+        path = first / "reference_CF.tsv"
+        lines = path.read_text().splitlines()
+        row = lines[1].split("\t")
+        row[5] = "nan"
+        path.write_text("\n".join([lines[0], "\t".join(row)]) + "\n")
+        capsys.readouterr()
+        code = main(args + ["--edited-references", str(first),
+                            "--out-dir", str(tmp_path / "second")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "Traceback" not in err
+        errors = [line for line in err.splitlines() if line.startswith("ERROR")]
+        assert len(errors) == 1 and "must be finite" in errors[0]
+
+
 class TestTrainEvaluateRecommend:
 
     def test_train_writes_loadable_model(self, data_dir, tmp_path, capsys):
@@ -302,12 +323,14 @@ class TestParser:
         ("evaluate", "--folds", "1", "--out-dir", "eval"),
         ("evaluate", "-k", "0,30", "--out-dir", "eval"),
         ("evaluate", "--min-train-targets", "0", "--out-dir", "eval"),
+        ("evaluate", "--sample-size", "0", "--out-dir", "eval"),
+        ("evaluate", "--sample-size", "-5", "--out-dir", "eval"),
         ("noir", "--target", "T0000", "--activity-type", "IC50",
          "--min-count", "1", "--out-dir", "noir"),
         ("noir", "--target", "T0000", "--activity-type", "IC50",
          "--top-n", "0", "--out-dir", "noir"),
     ], ids=["rank", "sim-threshold", "folds", "k", "min-train-targets",
-            "min-count", "top-n"])
+            "sample-size", "sample-size-negative", "min-count", "top-n"])
     def test_invalid_numeric_flag_is_config_error(self, argv, data_dir,
                                                   tmp_path, capsys,
                                                   monkeypatch):

@@ -228,9 +228,87 @@ class TestCorpusInvariants:
         assert corpus.labels_of("c2", "CF") == frozenset()
         assert corpus.n_compounds == 2
 
+    def test_corpora_differing_in_one_label_are_unequal(self):
+        compounds = ["c1", "c2"]
+        labels = [("c1", "CF", "x"), ("c2", "CF", "y")]
+        base = Corpus.build(compounds, labels)
+        assert base == Corpus.build(compounds, labels[::-1])
+        assert base != Corpus.build(compounds, [("c1", "CF", "x"), ("c2", "CF", "x")])
+        assert base != Corpus.build(compounds, [("c1", "CF", "y"), ("c2", "CF", "x")])
+        assert base != Corpus.build(compounds, [("c1", "CF", "x"), ("c2", "OC", "y")])
+
     def test_labels_case_sensitive(self, make_corpus):
         corpus = make_corpus(
             ["c1", "c2"],
             [("c1", "CF", "Lactams"), ("c2", "CF", "lactams")])
         assert corpus.label_count("CF", "Lactams") == 1
         assert corpus.label_count("CF", "lactams") == 1
+
+
+class TestIndexesMatchRawRows:
+    """The label matrix and the activity index, read back through the public
+    views, reproduce what the raw rows say."""
+
+    @pytest.fixture
+    def rows(self):
+        rng = np.random.default_rng(23)
+        ids = [f"c{i:02d}" for i in range(60)]
+        label_rows = []
+        for cid in ids:
+            for source in ("CF", "OC", "free"):
+                for v in rng.choice(15, size=int(rng.integers(0, 7)),
+                                    replace=False):
+                    label_rows.append((cid, source, f"{source}-{v:02d}"))
+        label_rows += label_rows[:20]  # duplicates collapse
+        activity_rows = []
+        for cid in ids[:50]:  # the last ten compounds have no record
+            for _ in range(int(rng.integers(1, 6))):
+                activity_rows.append((
+                    cid, f"t{int(rng.integers(0, 8))}",
+                    str(rng.choice(["IC50", "EC50", "Ki"])),
+                    float(rng.uniform(1.0, 100.0))))
+        return ids, label_rows, activity_rows
+
+    def test_label_views(self, rows):
+        ids, label_rows, activity_rows = rows
+        corpus = Corpus.build(ids[::-1], label_rows, activity_rows)
+        raw = {}
+        for cid, source, label in label_rows:
+            raw.setdefault(source, {}).setdefault(cid, set()).add(label)
+        assert corpus.sources() == ("CF", "OC", "free")
+        for source, per_compound in raw.items():
+            vocab = sorted(set().union(*per_compound.values()))
+            assert corpus.source_labels(source) == tuple(vocab)
+            for cid in ids:
+                assert corpus.labels_of(cid, source) \
+                    == frozenset(per_compound.get(cid, ()))
+            subset = set(ids[::3])
+            for label in vocab:
+                carriers = {c for c, ls in per_compound.items() if label in ls}
+                assert corpus.compounds_with_label(source, label) == carriers
+                assert corpus.label_count(source, label) == len(carriers)
+                assert corpus.label_count_in_set(source, label, subset) \
+                    == len(carriers & subset)
+            index = corpus.label_index(source)
+            assert index.matrix.shape == (len(ids), len(vocab))
+            for row, cid in enumerate(corpus.compound_ids()):
+                assert index.row_labels(row) == sorted(per_compound.get(cid, ()))
+        # a well-known source with no rows is an empty, queryable source
+        assert corpus.labels_of("c00", "MORGAN") == frozenset()
+        assert corpus.source_labels("MORGAN") == ()
+        assert corpus.label_count("MORGAN", "x") == 0
+        with pytest.raises(UnknownSourceError):
+            corpus.label_index("weird")
+        with pytest.raises(UnknownCompoundError):
+            corpus.labels_of("ghost", "CF")
+
+    def test_targets_of_matches_a_scan(self, rows):
+        corpus = Corpus.build(*rows)
+        records = list(corpus.iter_activities())
+        for cid in corpus.compound_ids():
+            for activity_type in (None, *corpus.activity_types()):
+                assert corpus.targets_of(cid, activity_type) == {
+                    r.target for r in records
+                    if r.compound == cid and activity_type in (None, r.activity_type)}
+        with pytest.raises(UnknownCompoundError):
+            corpus.targets_of("ghost")

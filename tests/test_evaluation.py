@@ -198,6 +198,18 @@ class TestRecallAtK:
                                exclude_train_targets=False, **kwargs)
         assert included.mean(1) == 0.0
 
+    def test_sample_size_below_one_rejected(self):
+        model, train, test = self._hand_setup()
+        for sample_size in (0, -3):
+            with pytest.raises(ValueError, match="sample_size"):
+                recall_at_k(model, train, test, k_list=(3,),
+                            sample_size=sample_size, min_train_targets=1,
+                            min_test_targets=1)
+            with pytest.raises(ValueError, match="sample_size"):
+                cross_validate(planted_matrix(np.random.default_rng(0)),
+                               TrainConfig(rank=2, max_iters=5),
+                               sample_size=sample_size)
+
     def test_no_eligible_compound_raises(self):
         model, train, test = self._hand_setup()
         with pytest.raises(EvalError, match="training targets"):

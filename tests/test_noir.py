@@ -3,6 +3,7 @@ import pytest
 
 from helpers import (
     oracle_doc_scores,
+    oracle_ranking,
     oracle_reference,
     random_label_corpus,
 )
@@ -11,7 +12,10 @@ from repurpose import (
     Corpus,
     FormatError,
     NoRelevantCompoundsError,
+    ReferenceLabelSet,
     ReferenceSetConfig,
+    ScoredLabel,
+    UnknownSourceError,
     build_reference_set,
     consensus,
     doc_score,
@@ -21,6 +25,14 @@ from repurpose import (
     write_reference_set,
     write_retrieval_report,
 )
+
+
+def make_reference(source, scores):
+    """A hand-made reference set with the given {label: score}."""
+    labels = tuple(ScoredLabel(label, 2, 1.0, 2, value)
+                   for label, value in scores.items())
+    return ReferenceLabelSet(
+        ReferenceSetConfig(target="TGT", source=source), frozenset(), 0, labels)
 
 
 class TestTermScore:
@@ -249,6 +261,56 @@ class TestRetrieve:
             retrieve(retrieval_corpus, reference, top_n=0)
 
 
+class TestRetrieveMatchesOracle:
+    """The one-product retrieval equals a per-compound brute-force ranking
+    exactly: same compounds, order, scores, L and matched labels."""
+
+    def test_random_corpora_and_hand_edited_references(self):
+        rng = np.random.default_rng(909)
+        ties = 0
+        for case in range(12):
+            ids, label_rows, activity_rows = random_label_corpus(
+                rng, max_compounds=300, max_labels=20)
+            ids = ids + ["zz-bare-1", "zz-bare-2"]  # compounds with no labels
+            source = ("CF", "OC")[case % 2]
+            corpus = Corpus.build(ids, label_rows, activity_rows)
+            vocab = corpus.source_labels(source)
+            picked = rng.choice(vocab, size=min(len(vocab), 10), replace=False)
+            # few distinct values, some negative or zero, so scores tie and
+            # matched labels can cancel; two labels the corpus never saw
+            scores = {str(label): float(rng.choice([-1.5, -0.25, 0.0, 0.5, 3.0]))
+                      for label in picked}
+            scores.update({"absent-a": 2.0, "absent-b": -1.0})
+            reference = make_reference(source, scores)
+            exclude = set(rng.choice(ids, size=len(ids) // 4, replace=False))
+            exclude |= {"ghost-1", "ghost-2"}  # not in the corpus
+
+            result = retrieve(corpus, reference, exclude=exclude,
+                              top_n=corpus.n_compounds)
+            want = oracle_ranking(ids, label_rows, source=source,
+                                  ref_scores=scores, exclude=exclude)
+            got = [(e.compound, e.score, e.n_labels, e.matched) for e in result]
+            assert got == want
+            assert result.excluded == exclude & set(ids)
+            top = retrieve(corpus, reference, exclude=exclude, top_n=7)
+            assert top.entries == result.entries[:7]
+            for entry in result:
+                assert doc_score(corpus.labels_of(entry.compound, source),
+                                 reference) \
+                    == (entry.score, entry.n_labels, entry.matched)
+            ties += len(want) - len({row[1] for row in want})
+        assert ties > 0
+
+    def test_unknown_free_form_source_raises(self, retrieval_corpus):
+        with pytest.raises(UnknownSourceError):
+            retrieve(retrieval_corpus, make_reference("weird", {"A": 1.0}))
+
+    def test_well_known_source_without_labels_retrieves_nothing(
+            self, retrieval_corpus):
+        result = retrieve(retrieval_corpus, make_reference("OC", {"A": 1.0}))
+        assert len(result) == 0
+
+
 class TestConsensus:
 
     def _result(self, ids):
@@ -274,6 +336,15 @@ class TestConsensus:
         a = self._result(["c1", "c2"])
         b = self._result(["c2", "c3"])
         assert consensus(a, b) == consensus(b, a)
+
+    def test_any_number_of_results(self):
+        a = self._result(["c1", "c2", "c3"])
+        b = self._result(["c2", "c3", "c4"])
+        c = self._result(["c3", "c2", "c9"])
+        assert consensus(a, b, c) == {"c2", "c3"}
+        assert consensus(a) == {"c1", "c2", "c3"}
+        with pytest.raises(ValueError):
+            consensus()
 
 
 class TestOracleEquivalence:
@@ -351,6 +422,36 @@ class TestReferenceSetIO:
                         "x\tCF\t2\t1.0\t3\t1.0\n"
                         "y\tOC\t2\t1.0\t3\t1.0\n")
         with pytest.raises(FormatError, match="mixed sources"):
+            read_reference_set(path)
+
+    def test_labels_starting_with_hash_round_trip(self, tmp_path):
+        path = tmp_path / "reference.tsv"
+        write_reference_set(
+            make_reference("CF", {"#hash": 2.0, "plain": 1.0, "#": 0.5}), path)
+        loaded = read_reference_set(path)
+        assert [sl.label for sl in loaded.labels] == ["#hash", "plain", "#"]
+
+    def test_comments_only_above_the_header(self, tmp_path):
+        path = tmp_path / "reference.tsv"
+        path.write_text("# edited by hand\n\n"
+                        "label\tsource\tO\tE\tC\tscore\n"
+                        "#x\tCF\t2\t1.0\t3\t1.0\n"
+                        "\n"
+                        "y\tCF\t2\t1.0\t3\t0.5\n")
+        assert [sl.label for sl in read_reference_set(path).labels] \
+            == ["#x", "y"]
+        path.write_text("label\tsource\tO\tE\tC\tscore\n"
+                        "# not a comment here\n")
+        with pytest.raises(FormatError, match="columns"):
+            read_reference_set(path)
+
+    @pytest.mark.parametrize("e, score", [
+        ("nan", "1.0"), ("1.0", "nan"), ("inf", "1.0"), ("1.0", "-inf")])
+    def test_non_finite_values_rejected(self, tmp_path, e, score):
+        path = tmp_path / "reference.tsv"
+        path.write_text("label\tsource\tO\tE\tC\tscore\n"
+                        f"x\tCF\t2\t{e}\t3\t{score}\n")
+        with pytest.raises(FormatError, match="finite"):
             read_reference_set(path)
 
     def test_empty_file_rejected(self, tmp_path):

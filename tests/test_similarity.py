@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import oracle_jaccard_pairs
+from helpers import bit_matrix_similarity, oracle_jaccard_pairs
 
 from repurpose import (
     Fingerprint,
@@ -172,6 +172,40 @@ class TestBuildSimilarityMatrix:
         for bad_rows, bad_cols in (([cols[0]], [rows[0]]), ([3], [3])):
             with pytest.raises(ValueError, match="row < col"):
                 SimilarityMatrix(matrix.compounds, bad_rows, bad_cols, [0.5])
+
+
+class TestLabelMatrixRows:
+    """Fingerprints and the graph read the corpus's label matrix; both must
+    equal what per-compound interning of `labels_of` builds."""
+
+    @pytest.fixture
+    def corpus(self, make_corpus):
+        rng = np.random.default_rng(41)
+        ids = [f"c{i:03d}" for i in range(150)]
+        rows = []
+        for cid in ids:
+            for v in rng.choice(30, size=int(rng.integers(0, 10)), replace=False):
+                rows.append((cid, "CF", f"lab{v:02d}"))
+        return make_corpus(ids, rows)
+
+    @pytest.mark.parametrize("threshold", [0.0, 0.3])
+    def test_graph_bit_identical_to_bit_matrix_build(self, corpus, threshold):
+        ids = corpus.compound_ids()
+        rng = np.random.default_rng(42)
+        for index in (ids, ids[::-1], tuple(rng.permutation(ids)[:90])):
+            got = build_similarity_matrix(corpus, "CF", index, threshold).to_csr()
+            want = bit_matrix_similarity(corpus, "CF", index, threshold).to_csr()
+            assert got.indptr.tobytes() == want.indptr.tobytes()
+            assert got.indices.tobytes() == want.indices.tobytes()
+            assert got.data.tobytes() == want.data.tobytes()
+
+    def test_fingerprints_match_sorted_label_interning(self, corpus):
+        bit_of = {label: i for i, label in enumerate(corpus.source_labels("CF"))}
+        index = corpus.compound_ids()[::-2]
+        assert build_fingerprints(corpus, "CF", index) == [
+            Fingerprint(c, frozenset(bit_of[label]
+                                     for label in corpus.labels_of(c, "CF")))
+            for c in index]
 
 
 class TestSimilarityDump:
