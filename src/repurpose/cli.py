@@ -279,6 +279,8 @@ def cmd_evaluate(args):
 
 
 def cmd_recommend(args):
+    if args.k < 1:
+        raise ConfigError(f"-k must be >= 1, got {args.k}")
     if not os.path.isfile(args.model):
         raise ConfigError(f"model file not found: {args.model}")
     model = load_model(args.model)

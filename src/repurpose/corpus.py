@@ -15,6 +15,7 @@ type) and indexed by target and by compound.
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -52,21 +53,23 @@ class ActivityRecord:
 def _iter_rows(path, columns, header_required):
     """Yield (lineno, fields) for the data rows of a TSV file.
 
-    Lines starting with '#' and blank lines are skipped.  A header row
-    matching `columns` (case-insensitive) is consumed when present; when
-    `header_required` it must be the first non-comment line.
+    Blank lines are skipped; lines starting with '#' are comments only
+    above the header row (or the first data row when the header is left
+    out), so a field may start with '#'.  A header row matching `columns`
+    (case-insensitive) is consumed when present; when `header_required` it
+    must be the first non-comment line.
     """
     n_cols = len(columns)
     canonical = tuple(c.lower() for c in columns)
-    first = True
+    preamble = True
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.rstrip("\r\n")
-            if not line.strip() or line.startswith("#"):
+            if not line.strip() or (preamble and line.startswith("#")):
                 continue
             fields = line.split("\t")
-            if first:
-                first = False
+            if preamble:
+                preamble = False
                 if tuple(f.strip().lower() for f in fields) == canonical:
                     continue
                 if header_required:
@@ -169,46 +172,15 @@ class Corpus:
         compounds: iterable of compound ids or (id, smiles) pairs.
         labels: iterable of (compound_id, source, label).
         activities: iterable of (compound_id, target_id, activity_type, value_nm).
+
+        Rows are checked as by :func:`load_corpus`; errors name the stream
+        and the row's 1-based index, as in "labels:3".
         """
-        smiles = {}
-        for row in compounds:
-            if isinstance(row, str):
-                cid, smi = row, ""
-            else:
-                cid, smi = row
-            if not cid:
-                raise ValueError("empty compound id")
-            if cid in smiles and smiles[cid] != smi:
-                raise ValueError(f"conflicting duplicate compound id {cid!r}")
-            smiles[cid] = smi
-
-        label_sets = {}
-        for cid, source, label in labels:
-            if not (cid and source and label):
-                raise ValueError(f"empty field in label row {(cid, source, label)!r}")
-            if cid not in smiles:
-                raise UnknownCompoundError(
-                    f"label row references unknown compound {cid!r}")
-            label_sets.setdefault(source, {}).setdefault(cid, set()).add(label)
-
-        activity_values = {}
-        for cid, tid, atype, value in activities:
-            if not (cid and tid and atype):
-                raise ValueError(
-                    f"empty field in activity row {(cid, tid, atype, value)!r}")
-            value = float(value)
-            if not math.isfinite(value) or value <= 0:
-                raise ValueError(
-                    f"activity value must be finite and positive, got {value!r}")
-            if cid not in smiles:
-                raise UnknownCompoundError(
-                    f"activity row references unknown compound {cid!r}")
-            key = (cid, tid, atype)
-            prev = activity_values.get(key)
-            if prev is None or value < prev:
-                activity_values[key] = value
-
-        return cls(smiles, label_sets, activity_values)
+        compounds = ((cid, "") if isinstance(cid, str) else cid
+                     for cid in compounds)
+        return _ingest(("compounds", enumerate(compounds, start=1)),
+                       ("labels", enumerate(labels, start=1)),
+                       ("activities", enumerate(activities, start=1)))
 
     # -- compounds / targets -------------------------------------------
 
@@ -354,6 +326,73 @@ class Corpus:
                 f"sources={list(self._sources)})")
 
 
+def _unwritable(text):
+    """True when `text` holds a tab, CR or LF, which no TSV field can carry."""
+    return "\t" in text or "\r" in text or "\n" in text
+
+
+def _ingest(compounds, labels, activities):
+    """Check, deduplicate and index the three row streams of a corpus.
+
+    Each stream is (where, rows), with `rows` yielding (lineno, fields);
+    errors name both, so file rows report "path:lineno" and in-memory rows
+    "labels:3".  Compound, source, target and activity-type fields are
+    stripped; a legal field is then non-empty (smiles may be empty) and
+    holds no tab, CR or LF, so every stored value can be written back out.
+    A label or activity row's compound id is legal once it is known.
+    Duplicate label rows collapse; duplicate activity rows for one
+    (compound, target, type) keep the minimum value.
+    """
+    where, rows = compounds
+    smiles = {}
+    for lineno, (cid, smi) in rows:
+        cid = cid.strip()
+        if not cid or _unwritable(cid + smi):
+            raise FormatError(where, lineno, "empty id or tab/CR/LF in "
+                              f"compound row {(cid, smi)!r}")
+        if cid in smiles and smiles[cid] != smi:
+            raise FormatError(
+                where, lineno,
+                f"duplicate compound id {cid!r} with conflicting smiles")
+        smiles[cid] = smi
+
+    where, rows = labels
+    label_sets = defaultdict(lambda: defaultdict(set))
+    for lineno, (cid, source, label) in rows:
+        cid, source = cid.strip(), source.strip()
+        if not (cid and source and label) or _unwritable(source + label):
+            raise FormatError(where, lineno, "empty field or tab/CR/LF in "
+                              f"label row {(cid, source, label)!r}")
+        if cid not in smiles:
+            raise UnknownCompoundError(
+                f"{where}:{lineno}: label references unknown compound {cid!r}")
+        label_sets[source][cid].add(label)
+
+    where, rows = activities
+    activity_values = {}
+    for lineno, (cid, tid, atype, raw_value) in rows:
+        cid, tid, atype = cid.strip(), tid.strip(), atype.strip()
+        if not (cid and tid and atype) or _unwritable(tid + atype):
+            raise FormatError(where, lineno, "empty field or tab/CR/LF in "
+                              f"activity row {(cid, tid, atype)!r}")
+        try:
+            value = float(raw_value)
+        except (TypeError, ValueError):
+            value = math.nan
+        if not math.isfinite(value) or value <= 0:
+            raise FormatError(
+                where, lineno, "activity value must be a finite positive "
+                f"number, got {raw_value!r}")
+        if cid not in smiles:
+            raise UnknownCompoundError(
+                f"{where}:{lineno}: activity references unknown compound {cid!r}")
+        key = (cid, tid, atype)
+        if value < activity_values.get(key, math.inf):
+            activity_values[key] = value
+
+    return Corpus(smiles, label_sets, activity_values)
+
+
 def load_corpus(compounds_path, labels_path, activities_path):
     """Load and index a corpus from its three TSV files.
 
@@ -363,52 +402,10 @@ def load_corpus(compounds_path, labels_path, activities_path):
     malformed rows, and UnknownCompoundError when a label or activity row
     references a compound missing from the compounds file.
     """
-    smiles = {}
-    for lineno, (cid, smi) in _iter_rows(
-            compounds_path, _COMPOUNDS_COLUMNS, header_required=True):
-        cid = cid.strip()
-        if not cid:
-            raise FormatError(compounds_path, lineno, "empty compound id")
-        if cid in smiles and smiles[cid] != smi:
-            raise FormatError(
-                compounds_path, lineno,
-                f"duplicate compound id {cid!r} with conflicting smiles")
-        smiles[cid] = smi
-
-    label_sets = {}
-    for lineno, (cid, source, label) in _iter_rows(
-            labels_path, _LABELS_COLUMNS, header_required=False):
-        cid, source = cid.strip(), source.strip()
-        if not cid or not source or not label:
-            raise FormatError(labels_path, lineno, "empty field in label row")
-        if cid not in smiles:
-            raise UnknownCompoundError(
-                f"{labels_path}:{lineno}: label references unknown compound {cid!r}")
-        label_sets.setdefault(source, {}).setdefault(cid, set()).add(label)
-
-    activity_values = {}
-    for lineno, (cid, tid, atype, raw_value) in _iter_rows(
-            activities_path, _ACTIVITIES_COLUMNS, header_required=False):
-        cid, tid, atype = cid.strip(), tid.strip(), atype.strip()
-        if not cid or not tid or not atype:
-            raise FormatError(activities_path, lineno, "empty field in activity row")
-        try:
-            value = float(raw_value)
-        except ValueError:
-            raise FormatError(
-                activities_path, lineno,
-                f"activity value is not a number: {raw_value!r}") from None
-        if not math.isfinite(value) or value <= 0:
-            raise FormatError(
-                activities_path, lineno,
-                f"activity value must be finite and positive, got {raw_value!r}")
-        if cid not in smiles:
-            raise UnknownCompoundError(
-                f"{activities_path}:{lineno}: activity references unknown "
-                f"compound {cid!r}")
-        key = (cid, tid, atype)
-        prev = activity_values.get(key)
-        if prev is None or value < prev:
-            activity_values[key] = value
-
-    return Corpus(smiles, label_sets, activity_values)
+    return _ingest(
+        (compounds_path, _iter_rows(
+            compounds_path, _COMPOUNDS_COLUMNS, header_required=True)),
+        (labels_path, _iter_rows(
+            labels_path, _LABELS_COLUMNS, header_required=False)),
+        (activities_path, _iter_rows(
+            activities_path, _ACTIVITIES_COLUMNS, header_required=False)))

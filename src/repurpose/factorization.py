@@ -69,8 +69,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.rank < 1:
             raise ValueError("rank must be a positive integer")
-        if self.lam < 0:
-            raise ValueError("lam must be non-negative")
+        if not (math.isfinite(self.lam) and self.lam >= 0):
+            raise ValueError("lam must be finite and non-negative")
         if self.max_iters < 1:
             raise ValueError("max_iters must be a positive integer")
         if not self.rel_tol > 0:
@@ -414,7 +414,11 @@ def train_csnmf(X, S, config, on_iteration=None):
 
 # -- model container ---------------------------------------------------------
 
-_MODEL_MAGIC = "#repurpose-factor-model\tv1"
+_MODEL_MAGIC = "#repurpose-factor-model\tv2"
+# The config rows, in file order; the last three count the rows that follow.
+_MODEL_KEYS = ("rank", "lambda", "max_iters", "rel_tol", "epsilon_guard",
+               "seed", "converged", "regularized", "compounds", "targets",
+               "trace")
 
 
 def _fmt(x):
@@ -422,65 +426,84 @@ def _fmt(x):
 
 
 def save_model(model, path):
-    """Write a model as a line-based TSV container (17 significant digits,
-    so floats round-trip exactly)."""
+    """Write a model as a TSV container that is read back by position.
+
+    After the format line come `key<TAB>value` config rows, the last three
+    counting the rows that follow: `compound_id<TAB>u_1...u_r`, then
+    `target_id<TAB>v_1...v_r`, then one trace value per row.  Floats keep
+    17 significant digits, so they round-trip exactly.
+    """
+    config = model.config
+    values = (config.rank, _fmt(config.lam), config.max_iters,
+              _fmt(config.rel_tol), _fmt(config.epsilon_guard), config.seed,
+              int(model.converged), int(model.regularized),
+              len(model.compounds), len(model.targets),
+              len(model.objective_trace))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(_MODEL_MAGIC + "\n")
-        fh.write("[config]\n")
-        fh.write(f"rank\t{model.config.rank}\n")
-        fh.write(f"lambda\t{_fmt(model.config.lam)}\n")
-        fh.write(f"max_iters\t{model.config.max_iters}\n")
-        fh.write(f"rel_tol\t{_fmt(model.config.rel_tol)}\n")
-        fh.write(f"epsilon_guard\t{_fmt(model.config.epsilon_guard)}\n")
-        fh.write(f"seed\t{model.config.seed}\n")
-        fh.write(f"converged\t{int(model.converged)}\n")
-        fh.write(f"regularized\t{int(model.regularized)}\n")
-        fh.write("[compounds]\n")
-        for c in model.compounds:
-            fh.write(c + "\n")
-        fh.write("[targets]\n")
-        for t in model.targets:
-            fh.write(t + "\n")
-        fh.write("[U]\n")
-        for row in model.U:
-            fh.write("\t".join(_fmt(x) for x in row) + "\n")
-        fh.write("[V]\n")
-        for row in model.V:
-            fh.write("\t".join(_fmt(x) for x in row) + "\n")
-        fh.write("[trace]\n")
+        for key, value in zip(_MODEL_KEYS, values):
+            fh.write(f"{key}\t{value}\n")
+        for ids, factors in ((model.compounds, model.U),
+                             (model.targets, model.V)):
+            for name, row in zip(ids, factors.tolist()):
+                fh.write(name + "\t" + "\t".join(map(_fmt, row)) + "\n")
         for value in model.objective_trace:
             fh.write(_fmt(value) + "\n")
 
 
-def load_model(path):
-    """Read a model container written by :func:`save_model`."""
-    sections = {"config": [], "compounds": [], "targets": [],
-                "U": [], "V": [], "trace": []}
-    current = None
-    with open(path, "r", encoding="utf-8") as fh:
-        first = fh.readline().rstrip("\r\n")
-        if first != _MODEL_MAGIC:
-            raise FormatError(path, 1, "not a factor-model file")
-        for lineno, raw in enumerate(fh, start=2):
-            line = raw.rstrip("\r\n")
-            if not line:
-                continue
-            if line.startswith("[") and line.endswith("]"):
-                name = line[1:-1]
-                if name not in sections:
-                    raise FormatError(path, lineno, f"unknown section {name!r}")
-                current = name
-                continue
-            if current is None:
-                raise FormatError(path, lineno, "content before first section")
-            sections[current].append((lineno, line))
+def _model_block(path, lines, start, count, width, with_ids):
+    """Parse lines[start:start + count] (file lines start + 1 onwards), each
+    of exactly `width` fields, into (ids, values): with `with_ids` a row is
+    a non-empty, unique id and factors >= 0, else only values; every value
+    must be a finite number."""
+    if not 0 <= count <= len(lines) - start:
+        raise FormatError(path, start + 1, f"expected {count} rows here, "
+                          f"but the file has {len(lines)} lines")
+    ids, values = {}, np.empty((count, width - with_ids))
+    for k, line in enumerate(lines[start:start + count]):
+        lineno, row = start + 1 + k, line.split("\t")
+        if len(row) != width:
+            raise FormatError(path, lineno, f"expected {width} tab-separated "
+                              f"fields, got {len(row)}")
+        if with_ids:
+            name = row.pop(0)
+            if not name or ids.setdefault(name, k) != k:
+                raise FormatError(path, lineno, f"empty or repeated id {name!r}")
+        try:
+            values[k] = [float(x) for x in row]
+        except ValueError:
+            values[k] = np.nan
+    bad = ~np.isfinite(values)
+    if with_ids:
+        bad |= values < 0
+    if bad.any():
+        lineno = start + 1 + int(np.flatnonzero(bad.any(axis=1))[0])
+        raise FormatError(path, lineno, "values must be finite numbers"
+                          + (" >= 0" if with_ids else ""))
+    return tuple(ids), values
 
-    fields = {}
-    for lineno, line in sections["config"]:
-        parts = line.split("\t")
-        if len(parts) != 2:
-            raise FormatError(path, lineno, "bad config line")
-        fields[parts[0]] = parts[1]
+
+def load_model(path):
+    """Read a model container written by :func:`save_model`.
+
+    Rows are read by position and each must have its exact width.  Factors
+    must be finite and nonnegative, the trace finite, and ids non-empty and
+    unique; nothing may follow the trace.  Files of any other format
+    version are rejected.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = fh.read().split("\n")
+    if lines[0] != _MODEL_MAGIC:
+        raise FormatError(
+            path, 1, f"not a factor-model file (expected {_MODEL_MAGIC!r})")
+    if lines[-1] == "":
+        lines.pop()
+
+    config_rows = [line.partition("\t") for line in lines[1:1 + len(_MODEL_KEYS)]]
+    fields = {key: value for key, _, value in config_rows}
+    if tuple(fields) != _MODEL_KEYS:
+        raise FormatError(path, 2, "expected one key<TAB>value row for each "
+                          "of, in order: " + ", ".join(_MODEL_KEYS))
     try:
         config = TrainConfig(
             rank=int(fields["rank"]),
@@ -490,32 +513,18 @@ def load_model(path):
             epsilon_guard=float(fields["epsilon_guard"]),
             seed=int(fields["seed"]),
         )
-        converged = bool(int(fields["converged"]))
-        regularized = bool(int(fields.get("regularized", "0")))
-    except (KeyError, ValueError) as exc:
-        raise FormatError(path, 0, f"bad or missing config field: {exc}") from None
+        converged, regularized, n, m, n_trace = (
+            int(fields[key]) for key in _MODEL_KEYS[6:])
+    except ValueError as exc:
+        raise FormatError(path, 0, f"bad config value: {exc}") from None
 
-    compounds = tuple(line for _, line in sections["compounds"])
-    targets = tuple(line for _, line in sections["targets"])
-
-    def parse_rows(name, expected_rows):
-        rows = []
-        for lineno, line in sections[name]:
-            try:
-                rows.append([float(x) for x in line.split("\t")])
-            except ValueError:
-                raise FormatError(path, lineno, f"bad float in [{name}]") from None
-        arr = np.asarray(rows, dtype=np.float64)
-        if arr.shape != (expected_rows, config.rank):
-            raise FormatError(
-                path, 0,
-                f"[{name}] has shape {arr.shape}, expected "
-                f"({expected_rows}, {config.rank})")
-        return arr
-
-    U = parse_rows("U", len(compounds))
-    V = parse_rows("V", len(targets))
-    trace = np.asarray([float(line) for _, line in sections["trace"]])
+    start = 1 + len(_MODEL_KEYS)
+    compounds, U = _model_block(path, lines, start, n, config.rank + 1, True)
+    targets, V = _model_block(path, lines, start + n, m, config.rank + 1, True)
+    start += n + m
+    _, trace = _model_block(path, lines, start, n_trace, 1, False)
+    if len(lines) > start + n_trace:
+        raise FormatError(path, start + n_trace + 1, "extra rows after the trace")
     return FactorModel(U=U, V=V, compounds=compounds, targets=targets,
-                       config=config, objective_trace=trace,
-                       converged=converged, regularized=regularized)
+                       config=config, objective_trace=trace.ravel(),
+                       converged=bool(converged), regularized=bool(regularized))

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .corpus import _iter_rows
 from .errors import FormatError, NoRelevantCompoundsError
 
 log = logging.getLogger(__name__)
@@ -311,39 +312,26 @@ def read_reference_set(path, target=""):
     (those are not part of the file format); it is sufficient for
     :func:`doc_score` and :func:`retrieve`.
     """
-    header = tuple(c.lower() for c in _REFSET_COLUMNS)
     labels = []
     source = None
-    in_preamble = True
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\r\n")
-            if not line.strip() or (in_preamble and line.startswith("#")):
-                continue
-            fields = line.split("\t")
-            if in_preamble:
-                in_preamble = False
-                if tuple(f.strip().lower() for f in fields) == header:
-                    continue
-            if len(fields) != len(_REFSET_COLUMNS):
-                raise FormatError(
-                    path, lineno,
-                    f"expected {len(_REFSET_COLUMNS)} columns, got {len(fields)}")
-            label, row_source, o, e, c, score = fields
-            if source is None:
-                source = row_source
-            elif row_source != source:
-                raise FormatError(
-                    path, lineno,
-                    f"mixed sources in one reference set: {source!r} vs {row_source!r}")
-            try:
-                scored = ScoredLabel(label, int(o), float(e), int(c), float(score))
-            except ValueError as exc:
-                raise FormatError(path, lineno, f"bad numeric field: {exc}") from None
-            if not (math.isfinite(scored.expected) and math.isfinite(scored.score)):
-                raise FormatError(
-                    path, lineno, f"E and score must be finite, got {e!r}, {score!r}")
-            labels.append(scored)
+    rows = _iter_rows(path, _REFSET_COLUMNS, header_required=False)
+    for lineno, (label, row_source, o, e, c, score) in rows:
+        if not row_source:
+            raise FormatError(path, lineno, "empty source")
+        if source is None:
+            source = row_source
+        elif row_source != source:
+            raise FormatError(
+                path, lineno,
+                f"mixed sources in one reference set: {source!r} vs {row_source!r}")
+        try:
+            scored = ScoredLabel(label, int(o), float(e), int(c), float(score))
+        except ValueError as exc:
+            raise FormatError(path, lineno, f"bad numeric field: {exc}") from None
+        if not (math.isfinite(scored.expected) and math.isfinite(scored.score)):
+            raise FormatError(
+                path, lineno, f"E and score must be finite, got {e!r}, {score!r}")
+        labels.append(scored)
     if source is None:
         raise FormatError(path, 0, "reference set file has no label rows")
     config = ReferenceSetConfig(target=target, source=source)

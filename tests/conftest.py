@@ -1,8 +1,16 @@
 import pytest
+from hypothesis import settings
 
 from helpers import write_corpus_files
 
 from repurpose import load_corpus
+
+# Property tests draw the same examples on every run (no example database
+# either) and have no time limit per example, so a slow machine cannot make
+# them fail.
+settings.register_profile("repurpose", derandomize=True, deadline=None,
+                          database=None)
+settings.load_profile("repurpose")
 
 
 @pytest.fixture

@@ -329,12 +329,26 @@ class TestParser:
          "--min-count", "1", "--out-dir", "noir"),
         ("noir", "--target", "T0000", "--activity-type", "IC50",
          "--top-n", "0", "--out-dir", "noir"),
+        ("train", "--lambda", "nan", "--out", "m.tsv"),
+        ("train", "--lambda", "inf", "--similarity", "jaccard:CF",
+         "--out", "m.tsv"),
+        ("recommend", "--model", "model.tsv", "--compounds", "C00000",
+         "-k", "0"),
+        ("recommend", "--model", "model.tsv", "--compounds", "C00000",
+         "-k", "-3"),
     ], ids=["rank", "sim-threshold", "folds", "k", "min-train-targets",
-            "sample-size", "sample-size-negative", "min-count", "top-n"])
+            "sample-size", "sample-size-negative", "min-count", "top-n",
+            "lambda-nan", "lambda-inf", "recommend-k-zero",
+            "recommend-k-negative"])
     def test_invalid_numeric_flag_is_config_error(self, argv, data_dir,
                                                   tmp_path, capsys,
                                                   monkeypatch):
         monkeypatch.chdir(tmp_path)
+        if argv[0] == "recommend":
+            # a real model, so that only the flag is wrong
+            assert main(["train", "--data-dir", str(data_dir), "--rank", "2",
+                         "--max-iters", "5", "--out", "model.tsv"]) == 0
+            capsys.readouterr()
         code = main([*argv, "--data-dir", str(data_dir)])
         err = capsys.readouterr().err
         assert code == 2

@@ -61,13 +61,28 @@ class TestLoadCorpus:
         (tmp_path / "compounds.tsv").write_text(
             "# a comment\ncompound_id\tsmiles\nc1\t\n\nc2\t\n")
         (tmp_path / "labels.tsv").write_text(
-            "compound_id\tsource\tlabel\n# comment\nc1\tCF\tx\n")
+            "# comment\n\ncompound_id\tsource\tlabel\nc1\tCF\tx\n")
         (tmp_path / "activities.tsv").write_text(
             "compound_id\ttarget_id\tactivity_type\tvalue_nM\n")
-        corpus = load_corpus(tmp_path / "compounds.tsv", tmp_path / "labels.tsv",
-                             tmp_path / "activities.tsv")
+        paths = [tmp_path / name for name in
+                 ("compounds.tsv", "labels.tsv", "activities.tsv")]
+        corpus = load_corpus(*paths)
         assert corpus.n_compounds == 2
         assert corpus.label_count("CF", "x") == 1
+        # below the header a '#' line is a data row, here a malformed one
+        (tmp_path / "labels.tsv").write_text(
+            "compound_id\tsource\tlabel\n# comment\nc1\tCF\tx\n")
+        with pytest.raises(FormatError, match="labels.tsv:2: expected 3"):
+            load_corpus(*paths)
+
+    def test_hash_compound_loads_with_its_rows(self, make_corpus):
+        corpus = make_corpus(
+            ["#c1", "c2"], [("#c1", "CF", "#x")], [("#c1", "T", "IC50", 5.0)])
+        assert corpus.compound_ids() == ("#c1", "c2")
+        assert corpus.labels_of("#c1", "CF") == frozenset({"#x"})
+        assert corpus.targets_of("#c1") == {"T"}
+        assert corpus == Corpus.build(
+            ["#c1", "c2"], [("#c1", "CF", "#x")], [("#c1", "T", "IC50", 5.0)])
 
     def test_labels_file_without_header_still_parses(self, tmp_path):
         paths = write_corpus_files(tmp_path, ["c1"], [], [])
@@ -118,6 +133,54 @@ class TestLoadErrors:
         with pytest.raises(FormatError, match="duplicate"):
             load_corpus(tmp_path / "compounds.tsv", tmp_path / "labels.tsv",
                         tmp_path / "activities.tsv")
+
+
+class TestBuildErrors:
+    """`Corpus.build` runs the file loader's checks; its errors name the
+    row stream and the row's 1-based index."""
+
+    @pytest.mark.parametrize("compounds, labels, activities, where", [
+        (["c1", ""], [], [], "compounds:2"),
+        (["c1", "  "], [], [], "compounds:2"),
+        (["a\tb"], [], [], "compounds:1"),
+        (["c\n1"], [], [], "compounds:1"),
+        ([("c1", "C\rC")], [], [], "compounds:1"),
+        (["c1"], [("c1", "CF", "x"), ("c1", "", "x")], [], "labels:2"),
+        (["c1"], [("c1", "CF", "")], [], "labels:1"),
+        (["c1"], [("c1", "CF", "x\ty")], [], "labels:1"),
+        (["c1"], [("c1", "C\nF", "x")], [], "labels:1"),
+        (["c1"], [], [("c1", "t\r1", "IC50", 1.0)], "activities:1"),
+        (["c1"], [], [("c1", "t1", "", 1.0)], "activities:1"),
+        (["c1"], [], [("c1", "t1", "IC50", 1.0), ("c1", "t1", "IC50", "x")],
+         "activities:2"),
+        (["c1"], [], [("c1", "t1", "IC50", float("nan"))], "activities:1"),
+        (["c1"], [], [("c1", "t1", "IC50", 0.0)], "activities:1"),
+        ([("c1", "CC"), ("c1", "CCC")], [], [], "compounds:2"),
+    ], ids=["empty-id", "blank-id", "tab-in-id", "lf-in-id", "cr-in-smiles",
+            "empty-source", "empty-label", "tab-in-label", "lf-in-source",
+            "cr-in-target", "empty-type", "bad-value", "nan-value",
+            "zero-value", "conflicting-smiles"])
+    def test_bad_rows_raise_format_error(self, compounds, labels, activities,
+                                         where):
+        with pytest.raises(FormatError, match=f"^{where}: "):
+            Corpus.build(compounds, labels, activities)
+
+    def test_unknown_compound_names_the_row(self):
+        with pytest.raises(UnknownCompoundError, match="^labels:2: .*'ghost'"):
+            Corpus.build(["c1"], [("c1", "CF", "x"), ("ghost", "CF", "x")])
+        with pytest.raises(UnknownCompoundError, match="^activities:1: "):
+            Corpus.build(["c1"], [], [("ghost", "t1", "IC50", 1.0)])
+
+    def test_ids_are_stripped_as_in_files(self, tmp_path):
+        compounds = [" c1", "c2 "]
+        labels = [("c1 ", " CF", "x")]
+        activities = [(" c2", " t1 ", "IC50 ", "5.0")]
+        built = Corpus.build(compounds, labels, activities)
+        assert built.compound_ids() == ("c1", "c2")
+        assert built.labels_of("c1", "CF") == frozenset({"x"})
+        assert built.activity_value("c2", "t1", "IC50") == 5.0
+        paths = write_corpus_files(tmp_path, compounds, labels, activities)
+        assert load_corpus(*paths) == built
 
 
 class TestCompoundsForTarget:

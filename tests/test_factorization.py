@@ -4,6 +4,7 @@ import scipy.sparse as sp
 
 from repurpose import (
     FactorizationError,
+    FactorModel,
     FormatError,
     NoInteractionsError,
     SimilarityMatrix,
@@ -445,6 +446,80 @@ class TestModelIO:
         with pytest.raises(FormatError):
             load_model(path)
 
+    def test_ids_that_look_like_markup_round_trip(self, tmp_path):
+        model = FactorModel(
+            U=np.array([[1.0, 0.0], [0.5, 2.0], [0.0, 3.0]]),
+            V=np.array([[1.0, 2.0], [0.25, 0.0]]),
+            compounds=("[U]", "#c", "[compounds]"), targets=("#t", "[trace]"),
+            config=TrainConfig(rank=2), objective_trace=np.array([3.0, 1.5]),
+            converged=False, regularized=True)
+        path = tmp_path / "model.tsv"
+        save_model(model, path)
+        loaded = load_model(path)
+        assert loaded.compounds == model.compounds
+        assert loaded.targets == model.targets
+        assert np.array_equal(loaded.U, model.U)
+        assert np.array_equal(loaded.V, model.V)
+        assert np.array_equal(loaded.objective_trace, model.objective_trace)
+        assert (loaded.converged, loaded.regularized) == (False, True)
+
+    @pytest.fixture
+    def saved_lines(self, tmp_path):
+        """The lines of a saved rank-2 model with 2 compounds, 2 targets and
+        a 2-value trace: line 1 is the format line, 2-12 the config, 13-14
+        the compounds, 15-16 the targets and 17-18 the trace."""
+        model = FactorModel(
+            U=np.array([[1.0, 0.5], [0.0, 2.0]]),
+            V=np.array([[1.0, 2.0], [0.25, 0.0]]),
+            compounds=("c1", "c2"), targets=("t1", "t2"),
+            config=TrainConfig(rank=2), objective_trace=np.array([3.0, 1.5]),
+            converged=True)
+        save_model(model, tmp_path / "model.tsv")
+        return (tmp_path / "model.tsv").read_text().splitlines()
+
+    @pytest.mark.parametrize("lineno, replacement, message", [
+        (1, "#repurpose-factor-model\tv1", "not a factor-model file"),
+        (3, "seed\t0", "key<TAB>value row for each"),
+        (2, "rank\tx", "bad config value"),
+        (2, "rank2", "key<TAB>value row for each"),
+        (12, "trace\t3", "expected 3 rows"),
+        (13, "c1\t1.0", "expected 3 tab-separated fields"),
+        (13, "c1\t1.0\t0.5\t7", "expected 3 tab-separated fields"),
+        (14, "c2\t-1.0\t2.0", "finite numbers >= 0"),
+        (15, "t1\tnan\t2.0", "finite numbers >= 0"),
+        (16, "t2\tinf\t0", "finite numbers >= 0"),
+        (16, "t2\tx\t0", "finite numbers >= 0"),
+        (14, "c1\t0.0\t2.0", "repeated id"),
+        (16, "\t0.25\t0", "empty or repeated id"),
+        (18, "nan", "finite numbers$"),
+        (18, "1..5", "finite numbers$"),
+        (18, "1.5\n1.0", "extra rows"),
+        (18, "1.5\n", "extra rows"),
+    ], ids=["v1", "key-order", "bad-rank", "no-tab", "count-past-end", "short-row",
+            "long-row", "negative-factor", "nan-factor", "inf-factor",
+            "bad-number", "repeated-id", "empty-id", "nan-trace", "bad-trace",
+            "extra-row", "extra-blank-line"])
+    def test_malformed_file_rejected(self, tmp_path, saved_lines, lineno,
+                                     replacement, message):
+        saved_lines[lineno - 1] = replacement
+        path = tmp_path / "bad.tsv"
+        path.write_text("\n".join(saved_lines) + "\n")
+        with pytest.raises(FormatError, match=message):
+            load_model(path)
+
+    def test_row_errors_name_their_line(self, tmp_path, saved_lines):
+        saved_lines[14] = "t1\t-0.5\t2.0"
+        path = tmp_path / "bad.tsv"
+        path.write_text("\n".join(saved_lines) + "\n")
+        with pytest.raises(FormatError, match="bad.tsv:15:"):
+            load_model(path)
+
+    def test_truncated_file_rejected(self, tmp_path, saved_lines):
+        path = tmp_path / "short.tsv"
+        path.write_text("\n".join(saved_lines[:-1]) + "\n")
+        with pytest.raises(FormatError, match="expected 2 rows"):
+            load_model(path)
+
     def test_id_lookup_helpers(self, make_corpus, tmp_path):
         corpus = make_corpus(
             ["c1", "c2"], [],
@@ -463,7 +538,7 @@ class TestTrainConfigValidation:
 
     @pytest.mark.parametrize("kwargs", [
         {"rank": 0}, {"lam": -0.1}, {"max_iters": 0}, {"rel_tol": 0.0},
-        {"epsilon_guard": 0.0},
+        {"epsilon_guard": 0.0}, {"lam": float("nan")}, {"lam": float("inf")},
     ])
     def test_bad_values_rejected(self, kwargs):
         with pytest.raises(ValueError):

@@ -454,6 +454,13 @@ class TestReferenceSetIO:
         with pytest.raises(FormatError, match="finite"):
             read_reference_set(path)
 
+    def test_empty_source_rejected(self, tmp_path):
+        path = tmp_path / "reference.tsv"
+        path.write_text("label\tsource\tO\tE\tC\tscore\n"
+                        "x\t\t2\t1.0\t3\t1.0\n")
+        with pytest.raises(FormatError, match="reference.tsv:2: empty source"):
+            read_reference_set(path)
+
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "reference.tsv"
         path.write_text("label\tsource\tO\tE\tC\tscore\n")
