@@ -126,6 +126,8 @@ def cmd_ingest(args):
 
 
 def cmd_generate_synthetic(args):
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     spec = _checked(
         SyntheticSpec, n_compounds=args.compounds, n_targets=args.targets,
         n_clusters=args.clusters, labels_per_compound=args.labels_per_compound,

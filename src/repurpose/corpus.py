@@ -9,7 +9,9 @@ its column counts.  NOIR counts and document scores, fingerprints and
 Jaccard similarity all read that matrix; `labels_of`, `compounds_with_label`
 and the label counts are views over it.  Activity values are aggregated to
 the most potent (minimum) measurement per (compound, target, activity
-type) and indexed by target and by compound.
+type) and held as one compound x target CSR per type, plus its transpose;
+relevant sets, known targets, record iteration and the interaction matrix
+all read it.
 """
 
 from __future__ import annotations
@@ -152,16 +154,24 @@ class Corpus:
         self._sources = tuple(sorted(self._label_index))
         self._no_labels = LabelIndex.build(self._compound_ids, {})
 
-        self._activity = dict(activity_values)
-        by_target, by_compound = {}, {}
-        for key, value in self._activity.items():
-            c, t, atype = key
-            by_target.setdefault((t, atype), {})[c] = value
-            by_compound.setdefault(c, []).append(key)
-        self._by_target = by_target
-        self._by_compound = by_compound
-        self._target_ids = tuple(sorted({t for t, _ in by_target}))
-        self._target_set = frozenset(self._target_ids)
+        # one compound x target CSR of nM values per activity type (columns
+        # shared by all types), and its transpose for per-target access
+        self._target_ids = tuple(sorted({t for _, t, _ in activity_values}))
+        self._column = {t: j for j, t in enumerate(self._target_ids)}
+        types = sorted({atype for _, _, atype in activity_values})
+        code = {atype: k for k, atype in enumerate(types)}
+        n = len(activity_values)
+        rows, cols, codes = (
+            np.fromiter((index[key[field]] for key in activity_values), np.intp, n)
+            for field, index in enumerate((self._position, self._column, code)))
+        values = np.fromiter(activity_values.values(), np.float64, n)
+        shape = (len(self._compound_ids), len(self._target_ids))
+        self._activity_index = {atype: sp.csr_matrix(
+            (values[codes == k], (rows[codes == k], cols[codes == k])), shape=shape)
+            for k, atype in enumerate(types)}
+        self._activity_by_target = {atype: matrix.T.tocsr()
+                                    for atype, matrix in self._activity_index.items()}
+        self._no_activity = sp.csr_matrix(shape)
 
     # -- construction --------------------------------------------------
 
@@ -215,7 +225,7 @@ class Corpus:
         return self._target_ids
 
     def has_target(self, target):
-        return target in self._target_set
+        return target in self._column
 
     # -- labels ----------------------------------------------------------
 
@@ -262,50 +272,64 @@ class Corpus:
         j = index.column.get(label)
         return 0 if j is None else int(index.counts[j])
 
-    def label_count_in_set(self, source, label, compound_set):
-        """Number of compounds in `compound_set` carrying `label` under `source`."""
-        compound_set = set(compound_set)
-        unknown = compound_set - self._position.keys()
-        if unknown:
-            raise UnknownCompoundError(
-                f"compound set contains unknown ids: {sorted(unknown)!r}")
-        return len(self.compounds_with_label(source, label) & compound_set)
-
     # -- activities -------------------------------------------------------
 
     @property
     def n_activity_records(self):
-        return len(self._activity)
-
-    def activity_value(self, compound, target, activity_type):
-        """Aggregated (minimum) value for one triple, or None if absent."""
-        return self._activity.get((compound, target, activity_type))
-
-    def iter_activities(self) -> Iterable[ActivityRecord]:
-        """All aggregated activity records, in sorted key order."""
-        for key in sorted(self._activity):
-            c, t, atype = key
-            yield ActivityRecord(c, t, atype, self._activity[key])
+        return sum(matrix.nnz for matrix in self._activity_index.values())
 
     def activity_types(self):
         """Distinct activity type names present in the corpus, sorted."""
-        return tuple(sorted({atype for (_, _, atype) in self._activity}))
+        return tuple(self._activity_index)
+
+    def activity_matrix(self, activity_type):
+        """Compound x target CSR of one activity type's aggregated nM values:
+        rows follow `compound_ids()`, columns `target_ids()`.  A type the
+        corpus lacks has no entries."""
+        return self._activity_index.get(activity_type, self._no_activity)
+
+    def activity_value(self, compound, target, activity_type):
+        """Aggregated (minimum) value for one triple, or None if absent."""
+        i, j = self._position.get(compound), self._column.get(target)
+        # stored values are positive, so 0.0 means no record
+        value = 0.0 if i is None or j is None \
+            else self.activity_matrix(activity_type)[i, j]
+        return float(value) if value else None
+
+    def iter_activities(self) -> Iterable[ActivityRecord]:
+        """All aggregated activity records, in (compound, target, type) order."""
+        entries = sorted(
+            (i, j, atype, value) for atype, matrix in self._activity_index.items()
+            for i, j, value in zip(*(a.tolist() for a in sp.find(matrix))))
+        for i, j, atype, value in entries:
+            yield ActivityRecord(self._compound_ids[i], self._target_ids[j],
+                                 atype, value)
 
     def compounds_for_target(self, target, activity_type, max_value_nm=math.inf):
         """Compounds with a record for (target, activity_type) strictly below
         `max_value_nm`.  Passing +inf keeps every compound with any record of
         that type for the target."""
-        if target not in self._target_set:
+        j = self._column.get(target)
+        if j is None:
             raise UnknownTargetError(f"unknown target {target!r}")
-        entries = self._by_target.get((target, activity_type), {})
-        return {c for c, v in entries.items() if v < max_value_nm}
+        by_target = self._activity_by_target.get(activity_type)
+        if by_target is None:
+            return set()
+        lo, hi = by_target.indptr[j], by_target.indptr[j + 1]
+        rows = by_target.indices[lo:hi][by_target.data[lo:hi] < max_value_nm]
+        return {self._compound_ids[i] for i in rows.tolist()}
 
     def targets_of(self, compound, activity_type=None):
         """Targets with at least one record for `compound` (optionally of one type)."""
-        if compound not in self._position:
+        i = self._position.get(compound)
+        if i is None:
             raise UnknownCompoundError(f"unknown compound {compound!r}")
-        return {t for (_, t, atype) in self._by_compound.get(compound, ())
-                if activity_type is None or atype == activity_type}
+        if activity_type is None:
+            return set().union(*(self.targets_of(compound, atype)
+                                 for atype in self.activity_types()))
+        matrix = self.activity_matrix(activity_type)
+        row = matrix.indices[matrix.indptr[i]:matrix.indptr[i + 1]]
+        return {self._target_ids[j] for j in row.tolist()}
 
     # -- misc --------------------------------------------------------------
 
@@ -314,7 +338,10 @@ class Corpus:
             return NotImplemented
         return (self._smiles == other._smiles
                 and self._label_index == other._label_index
-                and self._activity == other._activity)
+                and self._target_ids == other._target_ids
+                and self.activity_types() == other.activity_types()
+                and all((matrix != other._activity_index[atype]).nnz == 0
+                        for atype, matrix in self._activity_index.items()))
 
     def __hash__(self):
         return object.__hash__(self)

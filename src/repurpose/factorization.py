@@ -39,15 +39,16 @@ def transform_activity(value_nm):
 
     Values above 10,000 nM become the weak-interaction constant 1.0; values
     in [0, 10,000] map linearly onto [10, 5] via (20,000 - value) / 2,000,
-    so more potent (smaller) values get larger entries.
+    so more potent (smaller) values get larger entries.  A scalar maps to a
+    float, an array element-wise to a float64 array.
     """
-    value = float(value_nm)
-    if not math.isfinite(value) or value < 0:
+    value = np.asarray(value_nm, dtype=np.float64)
+    if not np.all(np.isfinite(value) & (value >= 0)):
         raise ValueError(
             f"activity value must be finite and non-negative, got {value_nm!r}")
-    if value > _LINEAR_RANGE_MAX_NM:
-        return WEAK_INTERACTION_VALUE
-    return (20_000.0 - value) / 2_000.0
+    mapped = np.where(value > _LINEAR_RANGE_MAX_NM, WEAK_INTERACTION_VALUE,
+                      (20_000.0 - value) / 2_000.0)
+    return float(mapped) if mapped.ndim == 0 else mapped
 
 
 @dataclass(frozen=True)
@@ -73,10 +74,12 @@ class TrainConfig:
             raise ValueError("lam must be finite and non-negative")
         if self.max_iters < 1:
             raise ValueError("max_iters must be a positive integer")
-        if not self.rel_tol > 0:
-            raise ValueError("rel_tol must be positive")
-        if not self.epsilon_guard > 0:
-            raise ValueError("epsilon_guard must be positive")
+        if not (math.isfinite(self.rel_tol) and self.rel_tol > 0):
+            raise ValueError("rel_tol must be finite and positive")
+        if not (math.isfinite(self.epsilon_guard) and self.epsilon_guard > 0):
+            raise ValueError("epsilon_guard must be finite and positive")
+        if self.seed < 0:
+            raise ValueError("seed must be a non-negative integer")
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,40 +128,30 @@ def build_interaction_matrix(corpus, activity_types="IC50"):
     minimum (most potent) value across the qualifying records of the pair.
     """
     if activity_types is None:
-        allowed = None
+        allowed = set(corpus.activity_types())
     elif isinstance(activity_types, str):
         allowed = {activity_types}
     else:
         allowed = set(activity_types)
-
-    best = {}
-    for record in corpus.iter_activities():
-        if allowed is not None and record.activity_type not in allowed:
-            continue
-        key = (record.compound, record.target)
-        prev = best.get(key)
-        if prev is None or record.value_nm < prev:
-            best[key] = record.value_nm
-
-    if not best:
-        wanted = "any type" if allowed is None else ", ".join(sorted(allowed))
+    parts = [corpus.activity_matrix(atype).tocoo() for atype in allowed]
+    if not any(part.nnz for part in parts):
+        wanted = "any type" if activity_types is None else ", ".join(sorted(allowed))
         raise NoInteractionsError(f"no activity record matches type filter ({wanted})")
 
-    compounds = tuple(sorted({c for c, _ in best}))
-    targets = tuple(sorted({t for _, t in best}))
-    compound_pos = {c: i for i, c in enumerate(compounds)}
-    target_pos = {t: j for j, t in enumerate(targets)}
-
-    rows = np.empty(len(best), dtype=np.int64)
-    cols = np.empty(len(best), dtype=np.int64)
-    data = np.empty(len(best), dtype=np.float64)
-    for k, ((c, t), value) in enumerate(sorted(best.items())):
-        rows[k] = compound_pos[c]
-        cols[k] = target_pos[t]
-        data[k] = transform_activity(value)
-
-    matrix = sp.csr_matrix(
-        (data, (rows, cols)), shape=(len(compounds), len(targets)))
+    # the selected types' entries, with those of one pair made adjacent; the
+    # minimum of each run is the pair's value
+    rows, cols, values = (np.concatenate(arrays) for arrays in zip(
+        *((part.row, part.col, part.data) for part in parts)))
+    order = np.argsort(rows.astype(np.int64) * len(corpus.target_ids()) + cols)
+    rows, cols, values = rows[order], cols[order], values[order]
+    first = np.flatnonzero(np.diff(rows, prepend=-1) | np.diff(cols, prepend=-1))
+    row_ids, rows = np.unique(rows[first], return_inverse=True)
+    col_ids, cols = np.unique(cols[first], return_inverse=True)
+    compounds = tuple(corpus.compound_ids()[i] for i in row_ids.tolist())
+    targets = tuple(corpus.target_ids()[j] for j in col_ids.tolist())
+    data = transform_activity(np.minimum.reduceat(values, first))
+    matrix = sp.csr_matrix((data, (rows, cols)),
+                           shape=(len(compounds), len(targets)))
     return InteractionMatrix(compounds, targets, matrix)
 
 

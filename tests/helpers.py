@@ -144,6 +144,36 @@ def bit_matrix_similarity(corpus, source, compound_index, threshold=0.0):
                             sims[keep], threshold)
 
 
+def oracle_interaction_matrix(activity_rows, activity_types):
+    """(compounds, targets, CSR) of the interaction matrix, from raw rows.
+
+    The dict-and-loop construction: keep the minimum value per (compound,
+    target) over rows of the selected types (all when None), map it by the
+    documented transform (above 10,000 nM -> 1.0, else
+    (20,000 - value) / 2,000), and lay the sorted pairs out as a CSR.
+    """
+    if isinstance(activity_types, str):
+        activity_types = {activity_types}
+    best = {}
+    for cid, tid, atype, value in activity_rows:
+        if activity_types is None or atype in activity_types:
+            best[cid, tid] = min(value, best.get((cid, tid), np.inf))
+    compounds = tuple(sorted({c for c, _ in best}))
+    targets = tuple(sorted({t for _, t in best}))
+    compound_pos = {c: i for i, c in enumerate(compounds)}
+    target_pos = {t: j for j, t in enumerate(targets)}
+    rows, cols, data = [], [], []
+    for (c, t), value in sorted(best.items()):
+        rows.append(compound_pos[c])
+        cols.append(target_pos[t])
+        data.append(1.0 if value > 10_000.0 else (20_000.0 - value) / 2_000.0)
+    matrix = sp.csr_matrix(
+        (np.asarray(data, dtype=np.float64),
+         (np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64))),
+        shape=(len(compounds), len(targets)))
+    return compounds, targets, matrix
+
+
 def write_corpus_files(directory, compounds, label_rows, activity_rows):
     """Write the three corpus TSVs into `directory`; returns their paths.
 

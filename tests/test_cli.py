@@ -1,3 +1,4 @@
+import argparse
 import os
 
 import pytest
@@ -9,6 +10,79 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out
+
+
+def _case(case_id, *argv):
+    return pytest.param(argv, id=case_id)
+
+
+# One bad invocation per numeric flag of each subcommand: each must exit 2
+# with a single ERROR line.  `--data-dir` is appended for every subcommand
+# but generate-synthetic, which reads no corpus.
+INVALID_FLAG_CASES = [
+    _case("rank", "train", "--rank", "0", "--out", "m.tsv"),
+    _case("sim-threshold", "train", "--similarity", "jaccard:CF",
+          "--sim-threshold", "1.5", "--out", "m.tsv"),
+    _case("folds", "evaluate", "--folds", "1", "--out-dir", "eval"),
+    _case("k", "evaluate", "-k", "0,30", "--out-dir", "eval"),
+    _case("min-train-targets", "evaluate", "--min-train-targets", "0",
+          "--out-dir", "eval"),
+    _case("sample-size", "evaluate", "--sample-size", "0", "--out-dir", "eval"),
+    _case("sample-size-negative", "evaluate", "--sample-size", "-5",
+          "--out-dir", "eval"),
+    _case("min-count", "noir", "--target", "T0000", "--activity-type", "IC50",
+          "--min-count", "1", "--out-dir", "noir"),
+    _case("top-n", "noir", "--target", "T0000", "--activity-type", "IC50",
+          "--top-n", "0", "--out-dir", "noir"),
+    _case("lambda-nan", "train", "--lambda", "nan", "--out", "m.tsv"),
+    _case("lambda-inf", "train", "--lambda", "inf", "--similarity",
+          "jaccard:CF", "--out", "m.tsv"),
+    _case("recommend-k-zero", "recommend", "--model", "model.tsv",
+          "--compounds", "C00000", "-k", "0"),
+    _case("recommend-k-negative", "recommend", "--model", "model.tsv",
+          "--compounds", "C00000", "-k", "-3"),
+    _case("tol-inf", "train", "--tol", "inf", "--out", "m.tsv"),
+    _case("max-iters", "train", "--max-iters", "0", "--out", "m.tsv"),
+    _case("seed-negative", "train", "--seed", "-1", "--out", "m.tsv"),
+    _case("threshold-nan", "noir", "--target", "T0000", "--activity-type",
+          "IC50", "--threshold", "nan", "--out-dir", "noir"),
+    _case("threshold-negative", "noir", "--target", "T0000", "--activity-type",
+          "IC50", "--threshold", "-5", "--out-dir", "noir"),
+    _case("noise-cap", "noir", "--target", "T0000", "--activity-type", "IC50",
+          "--noise-cap", "0", "--out-dir", "noir"),
+    _case("set-size", "noir", "--target", "T0000", "--activity-type", "IC50",
+          "--set-size", "0", "--out-dir", "noir"),
+    _case("min-test-targets", "evaluate", "--min-test-targets", "0",
+          "--out-dir", "eval"),
+    _case("evaluate-rank", "evaluate", "--rank", "0", "--out-dir", "eval"),
+    _case("evaluate-lambda-nan", "evaluate", "--lambda", "nan",
+          "--out-dir", "eval"),
+    _case("evaluate-max-iters", "evaluate", "--max-iters", "0",
+          "--out-dir", "eval"),
+    _case("evaluate-tol-inf", "evaluate", "--tol", "inf", "--out-dir", "eval"),
+    _case("evaluate-seed-negative", "evaluate", "--seed", "-1",
+          "--out-dir", "eval"),
+    _case("evaluate-sim-threshold-nan", "evaluate", "--sim-threshold", "nan",
+          "--out-dir", "eval"),
+    _case("synthetic-compounds", "generate-synthetic", "--compounds", "0",
+          "--out-dir", "syn"),
+    _case("synthetic-targets", "generate-synthetic", "--targets", "0",
+          "--out-dir", "syn"),
+    _case("synthetic-clusters", "generate-synthetic", "--clusters", "0",
+          "--out-dir", "syn"),
+    _case("synthetic-labels-per-compound", "generate-synthetic",
+          "--labels-per-compound", "0", "--out-dir", "syn"),
+    _case("synthetic-label-noise", "generate-synthetic", "--label-noise", "2",
+          "--out-dir", "syn"),
+    _case("synthetic-activity-noise-nan", "generate-synthetic",
+          "--activity-noise", "nan", "--out-dir", "syn"),
+    _case("synthetic-seed-negative", "generate-synthetic", "--seed", "-1",
+          "--out-dir", "syn"),
+]
+
+# Numeric flags that accept every value argparse can parse, so no invalid
+# case exists for them.  Empty: every numeric flag has a bound today.
+FLAGS_WITHOUT_INVALID_VALUE = frozenset()
 
 
 @pytest.fixture
@@ -316,30 +390,7 @@ class TestParser:
         assert evaluate.sample_size == 10_000
         assert evaluate.min_train_targets == evaluate.min_test_targets == 3
 
-    @pytest.mark.parametrize("argv", [
-        ("train", "--rank", "0", "--out", "m.tsv"),
-        ("train", "--similarity", "jaccard:CF", "--sim-threshold", "1.5",
-         "--out", "m.tsv"),
-        ("evaluate", "--folds", "1", "--out-dir", "eval"),
-        ("evaluate", "-k", "0,30", "--out-dir", "eval"),
-        ("evaluate", "--min-train-targets", "0", "--out-dir", "eval"),
-        ("evaluate", "--sample-size", "0", "--out-dir", "eval"),
-        ("evaluate", "--sample-size", "-5", "--out-dir", "eval"),
-        ("noir", "--target", "T0000", "--activity-type", "IC50",
-         "--min-count", "1", "--out-dir", "noir"),
-        ("noir", "--target", "T0000", "--activity-type", "IC50",
-         "--top-n", "0", "--out-dir", "noir"),
-        ("train", "--lambda", "nan", "--out", "m.tsv"),
-        ("train", "--lambda", "inf", "--similarity", "jaccard:CF",
-         "--out", "m.tsv"),
-        ("recommend", "--model", "model.tsv", "--compounds", "C00000",
-         "-k", "0"),
-        ("recommend", "--model", "model.tsv", "--compounds", "C00000",
-         "-k", "-3"),
-    ], ids=["rank", "sim-threshold", "folds", "k", "min-train-targets",
-            "sample-size", "sample-size-negative", "min-count", "top-n",
-            "lambda-nan", "lambda-inf", "recommend-k-zero",
-            "recommend-k-negative"])
+    @pytest.mark.parametrize("argv", INVALID_FLAG_CASES)
     def test_invalid_numeric_flag_is_config_error(self, argv, data_dir,
                                                   tmp_path, capsys,
                                                   monkeypatch):
@@ -349,12 +400,30 @@ class TestParser:
             assert main(["train", "--data-dir", str(data_dir), "--rank", "2",
                          "--max-iters", "5", "--out", "model.tsv"]) == 0
             capsys.readouterr()
-        code = main([*argv, "--data-dir", str(data_dir)])
+        if argv[0] != "generate-synthetic":
+            argv = [*argv, "--data-dir", str(data_dir)]
+        code = main(list(argv))
         err = capsys.readouterr().err
         assert code == 2
         assert "Traceback" not in err
         assert len([line for line in err.splitlines()
                     if line.startswith("ERROR")]) == 1
+
+    def test_every_numeric_flag_has_an_invalid_case(self):
+        from repurpose.cli import build_parser
+        covered = {(case.values[0][0], token) for case in INVALID_FLAG_CASES
+                   for token in case.values[0]}
+        subcommands = next(action.choices for action in build_parser()._actions
+                           if isinstance(action, argparse._SubParsersAction))
+        missing = [
+            (name, action.option_strings[0])
+            for name, parser in subcommands.items()
+            for action in parser._actions
+            if action.type in (int, float)
+            and not any((name, flag) in covered
+                        for flag in action.option_strings)
+            and not set(action.option_strings) & FLAGS_WITHOUT_INVALID_VALUE]
+        assert missing == []
 
     def test_help_lists_subcommands(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -222,33 +222,6 @@ class TestCompoundsForTarget:
             previous = current
 
 
-class TestLabelCountInSet:
-
-    @pytest.fixture
-    def corpus(self, make_corpus):
-        ids = [f"c{i}" for i in range(5)]
-        rows = [("c0", "CF", "x"), ("c1", "CF", "x"), ("c3", "CF", "y")]
-        return make_corpus(ids, rows, [])
-
-    def test_empty_set(self, corpus):
-        assert corpus.label_count_in_set("CF", "x", set()) == 0
-
-    def test_absent_label(self, corpus):
-        assert corpus.label_count_in_set("CF", "nope", {"c0", "c1"}) == 0
-
-    def test_hand_count(self, corpus):
-        all_ids = set(corpus.compound_ids())
-        assert corpus.label_count_in_set("CF", "x", all_ids) == 2
-
-    def test_unknown_free_form_source_raises(self, corpus):
-        with pytest.raises(UnknownSourceError):
-            corpus.label_count_in_set("weird", "x", {"c0"})
-
-    def test_unknown_member_raises(self, corpus):
-        with pytest.raises(UnknownCompoundError):
-            corpus.label_count_in_set("CF", "x", {"c0", "ghost"})
-
-
 class TestCorpusInvariants:
 
     def test_recount_matches_index(self, make_corpus):
@@ -266,9 +239,6 @@ class TestCorpusInvariants:
             recount[label] = recount.get(label, 0) + 1
         for label in vocab:
             assert corpus.label_count("OC", label) == recount.get(label, 0)
-            # counting over the full compound set reproduces the corpus count
-            assert corpus.label_count_in_set("OC", label, set(ids)) \
-                == recount.get(label, 0)
 
     def test_ingestion_idempotent(self, tmp_path):
         compounds = ["c1", "c2"]
@@ -299,6 +269,16 @@ class TestCorpusInvariants:
         assert base != Corpus.build(compounds, [("c1", "CF", "x"), ("c2", "CF", "x")])
         assert base != Corpus.build(compounds, [("c1", "CF", "y"), ("c2", "CF", "x")])
         assert base != Corpus.build(compounds, [("c1", "CF", "x"), ("c2", "OC", "y")])
+
+    def test_corpora_differing_in_one_activity_are_unequal(self):
+        compounds = ["c1", "c2"]
+        activities = [("c1", "t1", "IC50", 5.0), ("c2", "t2", "Ki", 7.5)]
+        base = Corpus.build(compounds, (), activities)
+        assert base == Corpus.build(compounds, (), activities[::-1])
+        assert base != Corpus.build(
+            compounds, (), [("c1", "t1", "IC50", 5.5), activities[1]])
+        assert base != Corpus.build(
+            compounds, (), [("c1", "t1", "EC50", 5.0), activities[1]])
 
     def test_labels_case_sensitive(self, make_corpus):
         corpus = make_corpus(
@@ -345,13 +325,10 @@ class TestIndexesMatchRawRows:
             for cid in ids:
                 assert corpus.labels_of(cid, source) \
                     == frozenset(per_compound.get(cid, ()))
-            subset = set(ids[::3])
             for label in vocab:
                 carriers = {c for c, ls in per_compound.items() if label in ls}
                 assert corpus.compounds_with_label(source, label) == carriers
                 assert corpus.label_count(source, label) == len(carriers)
-                assert corpus.label_count_in_set(source, label, subset) \
-                    == len(carriers & subset)
             index = corpus.label_index(source)
             assert index.matrix.shape == (len(ids), len(vocab))
             for row, cid in enumerate(corpus.compound_ids()):
@@ -364,6 +341,36 @@ class TestIndexesMatchRawRows:
             corpus.label_index("weird")
         with pytest.raises(UnknownCompoundError):
             corpus.labels_of("ghost", "CF")
+
+    def test_activity_views(self, rows):
+        ids, label_rows, activity_rows = rows
+        corpus = Corpus.build(ids[::-1], label_rows, activity_rows)
+        raw = {}
+        for cid, tid, atype, value in activity_rows:
+            raw[cid, tid, atype] = min(value, raw.get((cid, tid, atype), math.inf))
+        assert len(raw) < len(activity_rows)  # some triples repeat
+        assert [(r.compound, r.target, r.activity_type, r.value_nm)
+                for r in corpus.iter_activities()] \
+            == [(*key, raw[key]) for key in sorted(raw)]
+        assert corpus.n_activity_records == len(raw)
+        types = ("EC50", "IC50", "Ki")
+        assert corpus.activity_types() == types
+        targets = sorted({t for _, t, _ in raw})
+        assert corpus.target_ids() == tuple(targets)
+        # a stored value itself as a threshold checks that the bound is strict
+        thresholds = (0.0, 10.0, sorted(raw.values())[len(raw) // 2], 99.0,
+                      math.inf)
+        for target in targets:
+            for atype in (*types, "absent"):
+                for threshold in thresholds:
+                    assert corpus.compounds_for_target(target, atype, threshold) \
+                        == {c for (c, t, a), v in raw.items()
+                            if (t, a) == (target, atype) and v < threshold}
+        for cid in ids + ["ghost"]:
+            for target in targets + ["t-absent"]:
+                for atype in (*types, "absent"):
+                    assert corpus.activity_value(cid, target, atype) \
+                        == raw.get((cid, target, atype))
 
     def test_targets_of_matches_a_scan(self, rows):
         corpus = Corpus.build(*rows)

@@ -2,7 +2,10 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from helpers import oracle_interaction_matrix
+
 from repurpose import (
+    Corpus,
     FactorizationError,
     FactorModel,
     FormatError,
@@ -104,6 +107,30 @@ class TestBuildInteractionMatrix:
         corpus = make_corpus([f"c{i}" for i in range(30)], [], rows)
         data = build_interaction_matrix(corpus, "IC50").matrix.data
         assert np.all((data == 1.0) | ((data >= 5.0) & (data <= 10.0)))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_dict_oracle_on_random_corpora(self, seed):
+        rng = np.random.default_rng(seed)
+        types = ["EC50", "IC50", "Ki"][:int(rng.integers(2, 4))]
+        ids = [f"c{i:02d}" for i in range(40)]
+        rows = [(str(rng.choice(ids[:30])), f"t{int(rng.integers(0, 10))}",
+                 str(rng.choice(types)), float(10 ** rng.uniform(0, 5)))
+                for _ in range(150)]
+        rows += rows[:20]  # exact duplicates
+        rows += [(c, t, a, v * rng.uniform(0.5, 2.0)) for c, t, a, v in rows[:30]]
+        # c30..c34 and t10, t11 only have records of the last type; c35..c39
+        # have none
+        rows += [(f"c{30 + i % 5}", f"t{10 + i % 2}", types[-1],
+                  float(10 ** rng.uniform(0, 5))) for i in range(12)]
+        corpus = Corpus.build(ids, (), rows)
+        for selection in (types[0], [*types[:-1], "absent"], [types[-1]], None):
+            got = build_interaction_matrix(corpus, selection)
+            compounds, targets, matrix = oracle_interaction_matrix(rows, selection)
+            assert (got.compounds, got.targets) == (compounds, targets)
+            for part in ("indptr", "indices", "data"):
+                want = getattr(matrix, part)
+                assert getattr(got.matrix, part).dtype == want.dtype
+                assert getattr(got.matrix, part).tobytes() == want.tobytes()
 
     def test_value_lookup_and_errors(self, make_corpus):
         corpus = make_corpus(["c1"], [], [("c1", "t1", "IC50", 20_000.0)])
@@ -539,6 +566,7 @@ class TestTrainConfigValidation:
     @pytest.mark.parametrize("kwargs", [
         {"rank": 0}, {"lam": -0.1}, {"max_iters": 0}, {"rel_tol": 0.0},
         {"epsilon_guard": 0.0}, {"lam": float("nan")}, {"lam": float("inf")},
+        {"rel_tol": float("inf")}, {"epsilon_guard": float("inf")}, {"seed": -1},
     ])
     def test_bad_values_rejected(self, kwargs):
         with pytest.raises(ValueError):
