@@ -1,22 +1,22 @@
 #!/usr/bin/env python3
-"""Fingerprints and pairwise Jaccard similarity.
+"""The compound similarity graph: pairwise Jaccard over label sets.
 
 Any label source doubles as a binary fingerprint: the set of labels a
-compound carries. The similarity matrix is one symmetric sparse matrix
-(both triangles, no diagonal), can be thresholded, and is handed as is to
-the regularized trainer; its pair listings show each unordered pair once.
+compound carries. The Jaccard similarity of every pair of compounds is one
+symmetric sparse matrix (both triangles, no diagonal), can be thresholded,
+and is handed as is to the regularized trainer; its upper-triangle triplets
+list each unordered pair once.
 """
 
 import tempfile
 
+import numpy as np
+
 from repurpose import (
     SyntheticSpec,
-    build_fingerprints,
     build_similarity_matrix,
     generate_synthetic,
-    jaccard,
     load_corpus,
-    write_similarity_tsv,
 )
 
 workdir = tempfile.mkdtemp(prefix="repurpose_demo_")
@@ -25,27 +25,35 @@ spec = SyntheticSpec(n_compounds=120, n_targets=12, n_clusters=4,
 paths, truth = generate_synthetic(spec, workdir, seed=5)
 corpus = load_corpus(paths.compounds, paths.labels, paths.activities)
 
-prints = build_fingerprints(corpus, "CF")
-a, b, c = prints[0], prints[4], prints[1]  # 0 and 4 share a cluster
-print(f"{a.compound}: bits {sorted(a.bits)}")
-print(f"{b.compound}: bits {sorted(b.bits)}")
-print(f"same cluster:  jaccard({a.compound}, {b.compound}) = {jaccard(a, b):.3f}")
-print(f"other cluster: jaccard({a.compound}, {c.compound}) = {jaccard(a, c):.3f}")
+matrix = build_similarity_matrix(corpus, "CF")
+a, b, c = "C00000", "C00004", "C00001"  # 0 and 4 share a cluster
+for compound in (a, b):
+    print(f"{compound}: labels {sorted(corpus.labels_of(compound, 'CF'))}")
+print(f"same cluster:  get({a}, {b}) = {matrix.get(a, b):.3f}")
+print(f"other cluster: get({a}, {c}) = {matrix.get(a, c):.3f}")
 
 for threshold in (0.0, 0.3, 0.6):
-    matrix = build_similarity_matrix(corpus, "CF", threshold=threshold)
-    print(f"\nthreshold {threshold:.1f}: {matrix.n_pairs} stored pairs "
+    thresholded = build_similarity_matrix(corpus, "CF", threshold=threshold)
+    print(f"\nthreshold {threshold:.1f}: {thresholded.n_pairs} stored pairs "
           f"of {120 * 119 // 2} possible")
 
 matrix = build_similarity_matrix(corpus, "CF", threshold=0.3)
-pair = next(matrix.pairs())
-print(f"\nsymmetric lookup: get({pair[0]}, {pair[1]}) = "
-      f"{matrix.get(pair[0], pair[1]):.3f} = get({pair[1]}, {pair[0]}) = "
-      f"{matrix.get(pair[1], pair[0]):.3f}")
+rows, cols, values = matrix.triplets()
+first, second = matrix.compounds[rows[0]], matrix.compounds[cols[0]]
+print(f"\nsymmetric lookup: get({first}, {second}) = "
+      f"{matrix.get(first, second):.3f} = get({second}, {first}) = "
+      f"{matrix.get(second, first):.3f}")
 
-dump = f"{workdir}/similarities.tsv"
-write_similarity_tsv(matrix, dump)
-print(f"\nwrote pair dump to {dump}")
-with open(dump) as fh:
-    for line in list(fh)[:4]:
-        print("  " + line.rstrip())
+# the planted clusters show in the graph: count the stored pairs whose two
+# compounds share a cluster
+cluster = truth.compound_cluster
+same = sum(cluster[matrix.compounds[i]] == cluster[matrix.compounds[j]]
+           for i, j in zip(rows.tolist(), cols.tolist()))
+print(f"\n{same} of {matrix.n_pairs} stored pairs join compounds of one "
+      f"planted cluster")
+degrees = matrix.degrees()
+print(f"weighted degree per compound: min {degrees.min():.2f}, "
+      f"median {np.median(degrees):.2f}, max {degrees.max():.2f}")
+print("first stored pairs (upper triangle, row-major):")
+for i, j, value in list(zip(rows.tolist(), cols.tolist(), values.tolist()))[:3]:
+    print(f"  {matrix.compounds[i]}\t{matrix.compounds[j]}\t{value!r}")

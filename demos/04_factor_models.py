@@ -53,8 +53,10 @@ print(f"regularized model: {len(regularized.objective_trace) - 1} iterations, "
       f"{S.n_pairs} similarity pairs in the penalty")
 
 # similar compounds end up with closer latent rows under regularization
-i, j, _ = next(S.pairs())
-row_i, row_j = X.compound_pos[i], X.compound_pos[j]
+# S is built over X.compounds, so its positions are the factors' rows
+rows, cols, _ = S.triplets()
+row_i, row_j = int(rows[0]), int(cols[0])
+i, j = S.compounds[row_i], S.compounds[row_j]
 gap = np.linalg.norm(plain.U[row_i] - plain.U[row_j])
 gap_reg = np.linalg.norm(regularized.U[row_i] - regularized.U[row_j])
 print(f"\nlatent gap between similar pair ({i}, {j}): "

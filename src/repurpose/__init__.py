@@ -47,7 +47,6 @@ from .evaluation import (
     recall_at_k,
     rmse,
     split_folds,
-    top_k_true_positives,
     training_matrix,
     write_eval_report_tsv,
     write_rank_recall_tsv,
@@ -80,12 +79,8 @@ from .noir import (
     write_retrieval_report,
 )
 from .similarity import (
-    Fingerprint,
     SimilarityMatrix,
-    build_fingerprints,
     build_similarity_matrix,
-    jaccard,
-    write_similarity_tsv,
 )
 from .synthetic import (
     SyntheticPaths,

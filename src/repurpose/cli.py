@@ -145,6 +145,8 @@ def cmd_noir(args):
     sources = [s for s in args.sources.split(",") if s]
     if not sources:
         raise ConfigError("--sources is empty")
+    if len(set(sources)) != len(sources):
+        raise ConfigError(f"--sources {args.sources!r} repeats a source")
     if args.top_n < 1:
         raise ConfigError(f"--top-n must be >= 1, got {args.top_n}")
     os.makedirs(args.out_dir, exist_ok=True)

@@ -5,13 +5,12 @@ and is immutable afterwards, so concurrent readers need no locking.  Each
 label source is held as one compound x label incidence matrix (a CSR whose
 rows follow the sorted compound ids and whose columns are the source's
 labels in sorted order, so every row's indices are sorted) together with
-its column counts.  NOIR counts and document scores, fingerprints and
-Jaccard similarity all read that matrix; `labels_of`, `compounds_with_label`
-and the label counts are views over it.  Activity values are aggregated to
-the most potent (minimum) measurement per (compound, target, activity
-type) and held as one compound x target CSR per type, plus its transpose;
-relevant sets, known targets, record iteration and the interaction matrix
-all read it.
+its column counts.  NOIR counts, document scores and the Jaccard
+similarity graph all read that matrix; `labels_of` and the label counts are
+views over it.  Activity values are aggregated to the most potent (minimum)
+measurement per (compound, target, activity type) and held as one compound
+x target CSR per type, plus its transpose; relevant sets, known targets,
+record iteration and the interaction matrix all read it.
 """
 
 from __future__ import annotations
@@ -152,7 +151,9 @@ class Corpus:
             source: LabelIndex.build(self._compound_ids, per_compound)
             for source, per_compound in label_sets.items()}
         self._sources = tuple(sorted(self._label_index))
-        self._no_labels = LabelIndex.build(self._compound_ids, {})
+        self._no_labels = LabelIndex(
+            sp.csr_matrix((len(self._compound_ids), 0)), (), {},
+            np.zeros(0, dtype=np.int64))
 
         # one compound x target CSR of nM values per activity type (columns
         # shared by all types), and its transpose for per-target access
@@ -224,9 +225,6 @@ class Corpus:
         """All target ids (a target exists iff it has an activity record)."""
         return self._target_ids
 
-    def has_target(self, target):
-        return target in self._column
-
     # -- labels ----------------------------------------------------------
 
     def sources(self):
@@ -258,14 +256,6 @@ class Corpus:
         """All distinct labels of one source, sorted."""
         return self.label_index(source).labels
 
-    def compounds_with_label(self, source, label):
-        index = self.label_index(source)
-        j = index.column.get(label)
-        if j is None:
-            return frozenset()
-        rows = np.flatnonzero(np.diff(index.matrix[:, [j]].indptr))
-        return frozenset(self._compound_ids[i] for i in rows)
-
     def label_count(self, source, label):
         """Corpus-wide count: number of distinct compounds carrying the label."""
         index = self.label_index(source)
@@ -287,14 +277,6 @@ class Corpus:
         rows follow `compound_ids()`, columns `target_ids()`.  A type the
         corpus lacks has no entries."""
         return self._activity_index.get(activity_type, self._no_activity)
-
-    def activity_value(self, compound, target, activity_type):
-        """Aggregated (minimum) value for one triple, or None if absent."""
-        i, j = self._position.get(compound), self._column.get(target)
-        # stored values are positive, so 0.0 means no record
-        value = 0.0 if i is None or j is None \
-            else self.activity_matrix(activity_type)[i, j]
-        return float(value) if value else None
 
     def iter_activities(self) -> Iterable[ActivityRecord]:
         """All aggregated activity records, in (compound, target, type) order."""

@@ -100,16 +100,6 @@ class RecallResult:
     def n_sampled(self):
         return len(self.sampled_rows)
 
-    def mean(self, k):
-        return float(np.mean(self.recalls[k]))
-
-    def std(self, k):
-        """Population standard deviation (ddof=0)."""
-        return float(np.std(self.recalls[k]))
-
-    def summary(self):
-        return {k: (self.mean(k), self.std(k)) for k in self.k_list}
-
 
 def recall_at_k(model, train_X, test_triples, k_list=(30, 50, 100),
                 sample_size=10_000, min_train_targets=3, min_test_targets=3,
@@ -170,26 +160,6 @@ def recall_at_k(model, train_X, test_triples, k_list=(30, 50, 100),
     return RecallResult(
         k_list=k_list, recalls=recalls,
         sampled_rows=tuple(int(r) for r in sampled))
-
-
-def top_k_true_positives(model, probe_compounds, known_associations, k=30):
-    """Count known associations appearing in each probe's top-k targets.
-
-    `known_associations` maps compound id -> collection of target ids (ids
-    absent from the model's target index can never be retrieved and count
-    as misses).  Returns (per-compound counts dict, total).
-    """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    counts = {}
-    for compound in probe_compounds:
-        row = model.row_of(compound)
-        scores = model.score_targets(row)
-        order = np.argsort(-scores, kind="stable")[:k]
-        top = {model.targets[int(j)] for j in order}
-        known = set(known_associations.get(compound, ()))
-        counts[compound] = len(known & top)
-    return counts, sum(counts.values())
 
 
 @dataclass(frozen=True, eq=False)

@@ -22,7 +22,6 @@ from .errors import (
     FormatError,
     NoInteractionsError,
     UnknownCompoundError,
-    UnknownTargetError,
 )
 from .similarity import SimilarityMatrix
 
@@ -97,26 +96,6 @@ class InteractionMatrix:
     @property
     def n_entries(self):
         return self.matrix.nnz
-
-    @cached_property
-    def compound_pos(self):
-        return {c: i for i, c in enumerate(self.compounds)}
-
-    @cached_property
-    def target_pos(self):
-        return {t: j for j, t in enumerate(self.targets)}
-
-    def value(self, compound, target):
-        """Stored entry for an id pair (0.0 when unstored)."""
-        try:
-            i = self.compound_pos[compound]
-        except KeyError:
-            raise UnknownCompoundError(f"unknown compound {compound!r}") from None
-        try:
-            j = self.target_pos[target]
-        except KeyError:
-            raise UnknownTargetError(f"unknown target {target!r}") from None
-        return float(self.matrix[i, j])
 
 
 def build_interaction_matrix(corpus, activity_types="IC50"):
@@ -290,21 +269,6 @@ class FactorModel:
         except KeyError:
             raise UnknownCompoundError(
                 f"compound {compound!r} is not in the model") from None
-
-    def col_of(self, target):
-        try:
-            return self.target_pos[target]
-        except KeyError:
-            raise UnknownTargetError(
-                f"target {target!r} is not in the model") from None
-
-    def predict(self, row, col):
-        """Reconstructed score u_i . v_j for a (row, col) position pair."""
-        if not 0 <= row < self.U.shape[0]:
-            raise IndexError(f"row {row} out of range [0, {self.U.shape[0]})")
-        if not 0 <= col < self.V.shape[0]:
-            raise IndexError(f"col {col} out of range [0, {self.V.shape[0]})")
-        return float(self.U[row] @ self.V[col])
 
     def score_targets(self, row):
         """Scores of one compound row against every target."""

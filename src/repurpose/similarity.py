@@ -1,57 +1,19 @@
-"""Label-set fingerprints and sparse Jaccard similarity matrices.
+"""Sparse Jaccard similarity between compounds, as one symmetric CSR.
 
-A fingerprint is the set of label bits a compound carries under one source
-(ontology labels or precomputed structural bits); bit j is column j of the
-corpus's compound x label matrix for that source, so bits follow sorted
-label order.  Pairwise Jaccard similarity over a compound index is one
-sparse product of that matrix's rows with their own transpose, optionally
-thresholded, and is held as one symmetric CSR with the diagonal left out;
-that matrix is the regularization graph of the factorization trainer.
+A compound's labels under one source (ontology labels or precomputed
+structural bits) are a row of the corpus's compound x label matrix for that
+source.  Pairwise Jaccard similarity over a compound index is one sparse
+product of those rows with their own transpose, optionally thresholded, and
+is held as one symmetric CSR with the diagonal left out; that matrix is the
+regularization graph of the factorization trainer.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
 from .errors import UnknownCompoundError
-
-
-@dataclass(frozen=True)
-class Fingerprint:
-    """Bit set of one compound under one label source."""
-
-    compound: str
-    bits: frozenset[int]
-
-
-def jaccard(a, b):
-    """|A n B| / |A u B| for two fingerprints; 0.0 when both are empty."""
-    sa, sb = a.bits, b.bits
-    if not sa and not sb:
-        return 0.0
-    inter = len(sa & sb)
-    if inter == 0:
-        return 0.0
-    return inter / (len(sa) + len(sb) - inter)
-
-
-def build_fingerprints(corpus, source, compound_index=None):
-    """Fingerprints of `compound_index` (all compounds by default) under one
-    source.
-
-    Bit ids are the columns of the corpus's label matrix, assigned in sorted
-    label order, so the interning is deterministic for a given corpus.
-    Compounds without labels get an empty fingerprint.
-    """
-    if compound_index is None:
-        compound_index = corpus.compound_ids()
-    rows = corpus.label_index(source).matrix[corpus.positions(compound_index)]
-    return [Fingerprint(compound, frozenset(
-                rows.indices[rows.indptr[i]:rows.indptr[i + 1]].tolist()))
-            for i, compound in enumerate(compound_index)]
 
 
 class SimilarityMatrix:
@@ -101,11 +63,6 @@ class SimilarityMatrix:
             return float(self._csr.data[at])
         return 0.0
 
-    def pairs(self):
-        """Yield (compound_i, compound_j, value) per stored pair, i < j."""
-        for i, j, v in zip(*self.triplets()):
-            yield self.compounds[i], self.compounds[j], float(v)
-
     def triplets(self):
         """(rows, cols, values) arrays of the upper triangle, row-major."""
         upper = sp.triu(self._csr, k=1).tocoo()
@@ -151,17 +108,3 @@ def build_similarity_matrix(corpus, source, compound_index=None, threshold=0.0):
     del inter, keep
     return SimilarityMatrix(compound_index, rows, cols, sims, threshold)
 
-
-def write_similarity_tsv(matrix, path):
-    """Dump stored pairs as TSV, each pair once with ids in lexicographic
-    order and rows sorted."""
-    pairs = []
-    for a, b, v in matrix.pairs():
-        if b < a:
-            a, b = b, a
-        pairs.append((a, b, v))
-    pairs.sort()
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("compound_i\tcompound_j\tsimilarity\n")
-        for a, b, v in pairs:
-            fh.write(f"{a}\t{b}\t{v!r}\n")

@@ -78,9 +78,6 @@ class SyntheticTruth:
     def cluster_compounds(self, cluster):
         return {c for c, g in self.compound_cluster.items() if g == cluster}
 
-    def cluster_targets(self, cluster):
-        return {t for t, g in self.target_cluster.items() if g == cluster}
-
 
 def _pool_label(source, cluster, index):
     # MORGAN bits are plain integers by convention; ontology-style sources

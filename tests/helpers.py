@@ -98,6 +98,14 @@ def oracle_ranking(compound_ids, label_rows, *, source, ref_scores,
             for cid, (score, n_labels) in ranked]
 
 
+def jaccard(a, b):
+    """|A n B| / |A u B| for two plain sets; 0.0 when both are empty."""
+    inter = len(a & b)
+    if inter == 0:
+        return 0.0
+    return inter / (len(a) + len(b) - inter)
+
+
 def oracle_jaccard_pairs(bit_sets):
     """All-pairs Jaccard by double loop over a {compound: set} mapping.
 
@@ -107,11 +115,7 @@ def oracle_jaccard_pairs(bit_sets):
     pairs = {}
     for i, a in enumerate(ids):
         for b in ids[i + 1:]:
-            sa, sb = bit_sets[a], bit_sets[b]
-            union = len(sa | sb)
-            if union == 0:
-                continue
-            value = len(sa & sb) / union
+            value = jaccard(bit_sets[a], bit_sets[b])
             if value > 0.0:
                 pairs[(a, b)] = value
     return pairs

@@ -16,9 +16,10 @@ def _case(case_id, *argv):
     return pytest.param(argv, id=case_id)
 
 
-# One bad invocation per numeric flag of each subcommand: each must exit 2
-# with a single ERROR line.  `--data-dir` is appended for every subcommand
-# but generate-synthetic, which reads no corpus.
+# One bad invocation per numeric flag of each subcommand, plus other bad
+# values that are checked: each must exit 2 with a single ERROR line.
+# `--data-dir` is appended for every subcommand but generate-synthetic,
+# which reads no corpus.
 INVALID_FLAG_CASES = [
     _case("rank", "train", "--rank", "0", "--out", "m.tsv"),
     _case("sim-threshold", "train", "--similarity", "jaccard:CF",
@@ -52,6 +53,8 @@ INVALID_FLAG_CASES = [
           "--noise-cap", "0", "--out-dir", "noir"),
     _case("set-size", "noir", "--target", "T0000", "--activity-type", "IC50",
           "--set-size", "0", "--out-dir", "noir"),
+    _case("sources-repeated", "noir", "--target", "T0000", "--activity-type",
+          "IC50", "--sources", "CF,CF", "--out-dir", "noir"),
     _case("min-test-targets", "evaluate", "--min-test-targets", "0",
           "--out-dir", "eval"),
     _case("evaluate-rank", "evaluate", "--rank", "0", "--out-dir", "eval"),

@@ -6,13 +6,11 @@ from repurpose import (
     EvalError,
     FactorModel,
     TrainConfig,
-    UnknownCompoundError,
     cross_validate,
     format_eval_table,
     recall_at_k,
     rmse,
     split_folds,
-    top_k_true_positives,
     training_matrix,
     write_eval_report_tsv,
     write_rank_recall_tsv,
@@ -144,13 +142,13 @@ class TestRecallAtK:
         result = recall_at_k(model, train, test, k_list=(3,), sample_size=10,
                              min_train_targets=1, min_test_targets=1, seed=0)
         assert result.n_sampled == 1
-        assert result.mean(3) == pytest.approx(2.0 / 3.0, rel=1e-12)
+        assert np.mean(result.recalls[3]) == pytest.approx(2.0 / 3.0, rel=1e-12)
 
     def test_k_at_least_target_count_gives_full_recall(self):
         model, train, test = self._hand_setup()
         result = recall_at_k(model, train, test, k_list=(7,), sample_size=10,
                              min_train_targets=1, min_test_targets=1, seed=0)
-        assert result.mean(7) == 1.0
+        assert np.mean(result.recalls[7]) == 1.0
 
     def test_monotone_in_k(self):
         rng = np.random.default_rng(7)
@@ -164,7 +162,7 @@ class TestRecallAtK:
         result = recall_at_k(model, train, test, k_list=(1, 3, 5, 8, 12),
                              sample_size=50, min_train_targets=1,
                              min_test_targets=1, seed=0)
-        means = [result.mean(k) for k in (1, 3, 5, 8, 12)]
+        means = [np.mean(result.recalls[k]) for k in (1, 3, 5, 8, 12)]
         assert all(a <= b + 1e-12 for a, b in zip(means, means[1:]))
 
     def test_deterministic_under_seed(self):
@@ -193,10 +191,10 @@ class TestRecallAtK:
         kwargs = dict(k_list=(1,), sample_size=5, min_train_targets=1,
                       min_test_targets=1, seed=0)
         excluded = recall_at_k(model, train, test, **kwargs)
-        assert excluded.mean(1) == 1.0
+        assert np.mean(excluded.recalls[1]) == 1.0
         included = recall_at_k(model, train, test,
                                exclude_train_targets=False, **kwargs)
-        assert included.mean(1) == 0.0
+        assert np.mean(included.recalls[1]) == 0.0
 
     def test_sample_size_below_one_rejected(self):
         model, train, test = self._hand_setup()
@@ -226,42 +224,8 @@ class TestRecallAtK:
         result = recall_at_k(model, train, test, k_list=(1,), sample_size=10,
                              min_train_targets=1, min_test_targets=1, seed=0)
         assert result.n_sampled == 2
-        assert result.mean(1) == 0.5
-        assert result.std(1) == 0.5
-
-
-class TestTopKTruePositives:
-
-    def test_every_known_target_in_top_k(self):
-        model = make_model([[1.0]], [[9.0], [8.0], [7.0], [1.0]])
-        counts, total = top_k_true_positives(
-            model, ["c0"], {"c0": {"t0", "t1"}}, k=3)
-        assert counts == {"c0": 2}
-        assert total == 2
-
-    def test_zero_known_associations(self):
-        model = make_model([[1.0]], [[9.0], [8.0]])
-        counts, total = top_k_true_positives(model, ["c0"], {}, k=2)
-        assert counts == {"c0": 0}
-        assert total == 0
-
-    def test_hand_counted_value(self):
-        # scores: c0 -> [4, 3, 2, 1]; known {t1, t3}; top-2 = {t0, t1}
-        model = make_model([[1.0]], [[4.0], [3.0], [2.0], [1.0]])
-        counts, total = top_k_true_positives(
-            model, ["c0"], {"c0": {"t1", "t3"}}, k=2)
-        assert counts["c0"] == 1 and total == 1
-
-    def test_unknown_probe_rejected(self):
-        model = make_model([[1.0]], [[1.0]])
-        with pytest.raises(UnknownCompoundError):
-            top_k_true_positives(model, ["ghost"], {}, k=1)
-
-    def test_totals_sum_over_probes(self):
-        model = make_model([[1.0], [2.0]], [[4.0], [3.0], [2.0]])
-        counts, total = top_k_true_positives(
-            model, ["c0", "c1"], {"c0": {"t0"}, "c1": {"t0", "t1"}}, k=2)
-        assert total == counts["c0"] + counts["c1"] == 3
+        assert np.mean(result.recalls[1]) == 0.5
+        assert np.std(result.recalls[1]) == 0.5
 
 
 class TestCrossValidate:

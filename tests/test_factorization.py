@@ -13,7 +13,6 @@ from repurpose import (
     SimilarityMatrix,
     TrainConfig,
     UnknownCompoundError,
-    UnknownTargetError,
     build_interaction_matrix,
     build_similarity_matrix,
     load_model,
@@ -135,11 +134,7 @@ class TestBuildInteractionMatrix:
     def test_value_lookup_and_errors(self, make_corpus):
         corpus = make_corpus(["c1"], [], [("c1", "t1", "IC50", 20_000.0)])
         interactions = build_interaction_matrix(corpus, "IC50")
-        assert interactions.value("c1", "t1") == 1.0
-        with pytest.raises(UnknownCompoundError):
-            interactions.value("nope", "t1")
-        with pytest.raises(UnknownTargetError):
-            interactions.value("c1", "nope")
+        assert interactions.matrix.toarray().tolist() == [[1.0]]
 
 
 class TestObjective:
@@ -414,7 +409,8 @@ class TestPredict:
                                          seed=4))
         for i in (0, 3, 9):
             for j in (0, 5):
-                assert model.predict(i, j) == pytest.approx(X[i, j], abs=1e-3)
+                assert model.score_targets(i)[j] == pytest.approx(X[i, j],
+                                                                  abs=1e-3)
 
     def test_zero_row_predicts_zero(self):
         rng = np.random.default_rng(51)
@@ -422,7 +418,7 @@ class TestPredict:
         X[2] = 0.0
         model = train_nmf(X, TrainConfig(rank=2, max_iters=100, seed=1))
         for j in range(5):
-            assert model.predict(2, j) == 0.0
+            assert model.score_targets(2)[j] == 0.0
 
     def test_hand_dot_product(self):
         from repurpose import FactorModel
@@ -432,18 +428,16 @@ class TestPredict:
             compounds=("a", "b"), targets=("t", "u"),
             config=TrainConfig(rank=2), objective_trace=np.zeros(1),
             converged=True)
-        assert model.predict(0, 0) == 5.0
-        assert model.predict(0, 1) == 8.0
-        assert model.predict(1, 0) == 1.5
+        assert model.score_targets(0)[0] == 5.0
+        assert model.score_targets(0)[1] == 8.0
+        assert model.score_targets(1)[0] == 1.5
 
     def test_out_of_range_rejected(self):
         model = train_nmf(np.ones((3, 3)), TrainConfig(rank=1, max_iters=5))
         with pytest.raises(IndexError):
-            model.predict(3, 0)
+            model.score_targets(3)
         with pytest.raises(IndexError):
-            model.predict(-1, 0)
-        with pytest.raises(IndexError):
-            model.predict(0, 7)
+            model.score_targets(-1)
 
 
 class TestModelIO:
@@ -554,11 +548,9 @@ class TestModelIO:
         interactions = build_interaction_matrix(corpus, "IC50")
         model = train_nmf(interactions, TrainConfig(rank=1, max_iters=10))
         assert model.row_of("c2") == 1
-        assert model.col_of("t1") == 0
+        assert model.target_pos == {"t1": 0, "t2": 1}
         with pytest.raises(UnknownCompoundError):
             model.row_of("ghost")
-        with pytest.raises(UnknownTargetError):
-            model.col_of("ghost")
 
 
 class TestTrainConfigValidation:

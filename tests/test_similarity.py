@@ -1,43 +1,36 @@
 import numpy as np
 import pytest
 
-from helpers import bit_matrix_similarity, oracle_jaccard_pairs
+from helpers import bit_matrix_similarity, jaccard, oracle_jaccard_pairs
 
 from repurpose import (
-    Fingerprint,
     SimilarityMatrix,
     UnknownCompoundError,
-    build_fingerprints,
     build_similarity_matrix,
-    jaccard,
-    write_similarity_tsv,
 )
 
 
-def fp(compound, bits):
-    return Fingerprint(compound, frozenset(bits))
-
-
 class TestJaccard:
+    """The plain-set oracle that the graph is checked against."""
 
     def test_identical_nonempty(self):
-        assert jaccard(fp("a", {1, 2, 3}), fp("b", {1, 2, 3})) == 1.0
+        assert jaccard({1, 2, 3}, {1, 2, 3}) == 1.0
 
     def test_disjoint(self):
-        assert jaccard(fp("a", {1, 2}), fp("b", {3, 4})) == 0.0
+        assert jaccard({1, 2}, {3, 4}) == 0.0
 
     def test_hand_case(self):
         # {a,b,c} vs {b,c,d}: 2 shared of 4 total
-        assert jaccard(fp("a", {1, 2, 3}), fp("b", {2, 3, 4})) == 0.5
+        assert jaccard({1, 2, 3}, {2, 3, 4}) == 0.5
 
     def test_both_empty_is_zero(self):
-        assert jaccard(fp("a", set()), fp("b", set())) == 0.0
+        assert jaccard(set(), set()) == 0.0
 
     def test_one_empty_is_zero(self):
-        assert jaccard(fp("a", {1}), fp("b", set())) == 0.0
+        assert jaccard({1}, set()) == 0.0
 
     def test_self_similarity_one(self):
-        a = fp("a", {5, 9})
+        a = {5, 9}
         assert jaccard(a, a) == 1.0
 
     def test_adding_shared_bit_never_decreases(self):
@@ -46,28 +39,9 @@ class TestJaccard:
             a = set(rng.integers(0, 30, size=rng.integers(0, 10)).tolist())
             b = set(rng.integers(0, 30, size=rng.integers(0, 10)).tolist())
             shared = int(rng.integers(100, 200))
-            before = jaccard(fp("a", a), fp("b", b))
-            after = jaccard(fp("a", a | {shared}), fp("b", b | {shared}))
+            before = jaccard(a, b)
+            after = jaccard(a | {shared}, b | {shared})
             assert after >= before
-
-
-class TestBuildFingerprints:
-
-    def test_interning_is_deterministic(self, make_corpus):
-        corpus = make_corpus(
-            ["c1", "c2"],
-            [("c1", "CF", "beta"), ("c1", "CF", "alpha"), ("c2", "CF", "beta")])
-        first = build_fingerprints(corpus, "CF")
-        second = build_fingerprints(corpus, "CF")
-        assert first == second
-        # 'alpha' sorts before 'beta', so it gets bit 0
-        assert first[0].bits == frozenset({0, 1})
-        assert first[1].bits == frozenset({1})
-
-    def test_unlabeled_compound_gets_empty_fingerprint(self, make_corpus):
-        corpus = make_corpus(["c1", "c2"], [("c1", "OC", "x")])
-        prints = build_fingerprints(corpus, "OC")
-        assert prints[1] == Fingerprint("c2", frozenset())
 
 
 class TestBuildSimilarityMatrix:
@@ -110,8 +84,9 @@ class TestBuildSimilarityMatrix:
 
     def test_values_in_unit_interval(self, corpus):
         matrix = build_similarity_matrix(corpus, "CF")
-        for _, _, value in matrix.pairs():
-            assert 0.0 < value <= 1.0
+        _, _, values = matrix.triplets()
+        assert len(values) == matrix.n_pairs
+        assert np.all((0.0 < values) & (values <= 1.0))
 
     def test_unknown_compound_in_index_rejected(self, corpus):
         with pytest.raises(UnknownCompoundError):
@@ -147,7 +122,8 @@ class TestBuildSimilarityMatrix:
         corpus = make_corpus(ids, rows)
         matrix = build_similarity_matrix(corpus, "CF")
         expected = oracle_jaccard_pairs(bit_sets)
-        got = {(a, b): value for a, b, value in matrix.pairs()}
+        got = {(matrix.compounds[i], matrix.compounds[j]): value
+               for i, j, value in zip(*matrix.triplets())}
         assert set(got) == set(expected)
         for pair, value in expected.items():
             assert got[pair] == pytest.approx(value, rel=1e-12)
@@ -175,8 +151,8 @@ class TestBuildSimilarityMatrix:
 
 
 class TestLabelMatrixRows:
-    """Fingerprints and the graph read the corpus's label matrix; both must
-    equal what per-compound interning of `labels_of` builds."""
+    """The graph reads the corpus's label matrix; it must equal what
+    per-compound interning of `labels_of` builds."""
 
     @pytest.fixture
     def corpus(self, make_corpus):
@@ -198,29 +174,3 @@ class TestLabelMatrixRows:
             assert got.indptr.tobytes() == want.indptr.tobytes()
             assert got.indices.tobytes() == want.indices.tobytes()
             assert got.data.tobytes() == want.data.tobytes()
-
-    def test_fingerprints_match_sorted_label_interning(self, corpus):
-        bit_of = {label: i for i, label in enumerate(corpus.source_labels("CF"))}
-        index = corpus.compound_ids()[::-2]
-        assert build_fingerprints(corpus, "CF", index) == [
-            Fingerprint(c, frozenset(bit_of[label]
-                                     for label in corpus.labels_of(c, "CF")))
-            for c in index]
-
-
-class TestSimilarityDump:
-
-    def test_rows_sorted_lexicographically(self, make_corpus, tmp_path):
-        rows = [("b", "CF", "x"), ("a", "CF", "x"), ("c", "CF", "x"),
-                ("c", "CF", "y")]
-        corpus = make_corpus(["c", "b", "a"], rows)
-        matrix = build_similarity_matrix(corpus, "CF")
-        path = tmp_path / "sims.tsv"
-        write_similarity_tsv(matrix, path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "compound_i\tcompound_j\tsimilarity"
-        body = [line.split("\t") for line in lines[1:]]
-        assert [(row[0], row[1]) for row in body] \
-            == [("a", "b"), ("a", "c"), ("b", "c")]
-        for row in body:
-            assert row[0] < row[1]
