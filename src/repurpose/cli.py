@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__
 from .corpus import load_corpus
-from .errors import FormatError, RepurposeError
+from .errors import FormatError, RepurposeError, UnknownSourceError
 from .evaluation import (
     cross_validate,
     format_eval_table,
@@ -103,12 +103,22 @@ def _parse_k_list(text):
     return ks
 
 
-def _similarity_source(choice):
-    """Map a --similarity flag value to a label source or None."""
+def _check_source(corpus, source):
+    """Report a label source the corpus cannot serve as a usage error."""
+    try:
+        corpus.label_index(source)
+    except UnknownSourceError as exc:
+        raise ConfigError(str(exc)) from None
+
+
+def _similarity_source(choice, corpus):
+    """Map a --similarity flag value to a label source of `corpus` or None."""
     if choice == "none":
         return None
     if choice.startswith("jaccard:") and len(choice) > len("jaccard:"):
-        return choice.split(":", 1)[1]
+        source = choice.split(":", 1)[1]
+        _check_source(corpus, source)
+        return source
     raise ConfigError(
         f"bad --similarity {choice!r}; expected 'none' or 'jaccard:<SOURCE>'")
 
@@ -149,6 +159,8 @@ def cmd_noir(args):
         raise ConfigError(f"--sources {args.sources!r} repeats a source")
     if args.top_n < 1:
         raise ConfigError(f"--top-n must be >= 1, got {args.top_n}")
+    for source in sources:
+        _check_source(corpus, source)
     os.makedirs(args.out_dir, exist_ok=True)
 
     results = {}
@@ -207,8 +219,8 @@ def cmd_noir(args):
 
 def _train_model(corpus, args):
     config = _train_config(args)
+    source = _similarity_source(args.similarity, corpus)
     interactions = build_interaction_matrix(corpus, args.activity_type)
-    source = _similarity_source(args.similarity)
     if source is None or args.lam == 0:
         model = train_nmf(interactions, config)
     else:
@@ -241,14 +253,14 @@ def cmd_evaluate(args):
     if args.sample_size < 1:
         raise ConfigError(f"--sample-size must be >= 1, got {args.sample_size}")
     corpus = _load(args.data_dir)
+    sources = [_similarity_source(choice, corpus)
+               for choice in args.similarity or ["none"]]
     interactions = build_interaction_matrix(corpus, args.activity_type)
     os.makedirs(args.out_dir, exist_ok=True)
 
-    variants = args.similarity or ["none"]
     reports = []
     seen = set()
-    for choice in variants:
-        source = _similarity_source(choice)
+    for source in sources:
         if source is None or args.lam == 0:
             similarity, label = None, "NMF"
         else:

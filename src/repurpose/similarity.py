@@ -2,10 +2,15 @@
 
 A compound's labels under one source (ontology labels or precomputed
 structural bits) are a row of the corpus's compound x label matrix for that
-source.  Pairwise Jaccard similarity over a compound index is one sparse
-product of those rows with their own transpose, optionally thresholded, and
-is held as one symmetric CSR with the diagonal left out; that matrix is the
+source.  Pairwise Jaccard similarity over a compound index is the product of
+those rows with their own transpose, optionally thresholded, and is held as
+one symmetric CSR with the diagonal left out; that matrix is the
 regularization graph of the factorization trainer.
+
+The graph is built in two passes over row blocks of the label matrix, so
+the whole product is never formed: the first counts each row's kept
+entries, and the second writes each block's rows into arrays allocated once
+at their final size.  Memory is the final CSR plus about one block.
 """
 
 from __future__ import annotations
@@ -15,27 +20,44 @@ import scipy.sparse as sp
 
 from .errors import UnknownCompoundError
 
+# Product entries formed at once, bounded per row by the sum of the row's
+# label counts.  A small block keeps the build's memory near the final CSR's,
+# but each block of the first pass also converts every label row below it,
+# so much smaller blocks slow the build.
+_BLOCK_ENTRIES = 1_000_000
+
 
 class SimilarityMatrix:
     """Sparse symmetric compound-compound similarity held as one CSR.
 
-    Built once from upper-triangle triplets (i < j by position in the
-    compound index), the CSR holds both triangles with sorted indices; a
-    zero value is no edge and is not stored.  The diagonal is excluded --
-    the regularization penalty is zero there.
+    The CSR holds both triangles with sorted indices; a zero value is no
+    edge and is not stored.  The diagonal is excluded -- the regularization
+    penalty is zero there.  The constructor takes upper-triangle triplets
+    (i < j by position in the compound index).
     """
 
     def __init__(self, compounds, rows, cols, values, threshold=0.0):
-        self.compounds = tuple(compounds)
-        self.threshold = float(threshold)
+        compounds = tuple(compounds)
         rows, cols = np.asarray(rows), np.asarray(cols)
         if not (rows < cols).all():
             raise ValueError("entries must satisfy row < col (upper triangle)")
-        n = len(self.compounds)
+        n = len(compounds)
         upper = sp.csr_matrix(
             (np.asarray(values, dtype=np.float64), (rows, cols)), shape=(n, n))
-        self._csr = upper + upper.T
-        self._pos = {c: i for i, c in enumerate(self.compounds)}
+        self._hold(compounds, upper + upper.T, threshold)
+
+    @classmethod
+    def _from_csr(cls, compounds, csr, threshold):
+        """Wrap a finished symmetric CSR: sorted indices, no diagonal."""
+        matrix = cls.__new__(cls)
+        matrix._hold(tuple(compounds), csr, threshold)
+        return matrix
+
+    def _hold(self, compounds, csr, threshold):
+        self.compounds = compounds
+        self.threshold = float(threshold)
+        self._csr = csr
+        self._pos = {c: i for i, c in enumerate(compounds)}
 
     @property
     def n_compounds(self):
@@ -81,12 +103,59 @@ class SimilarityMatrix:
                 f"{self.n_pairs} pairs, threshold={self.threshold})")
 
 
+def _row_blocks(bits):
+    """(lo, hi) row ranges whose summed product bound is at most
+    `_BLOCK_ENTRIES`; a row over it on its own forms a block.
+
+    A row's bound is the sum of its labels' column counts: the number of
+    (label, compound) pairs its product row visits, which is at least the
+    number of entries that row stores.
+    """
+    bound = np.cumsum(bits @ np.bincount(bits.indices, minlength=bits.shape[1]))
+    lo = 0
+    while lo < len(bound):
+        base = bound[lo - 1] if lo else 0.0
+        hi = int(np.searchsorted(bound, base + _BLOCK_ENTRIES, side="right"))
+        hi = max(hi, lo + 1)
+        yield lo, hi
+        lo = hi
+
+
+def _rows(bits, lo, hi):
+    """Rows lo..hi-1 of a CSR, sharing its index and data arrays (a slice
+    would copy them)."""
+    start, stop = bits.indptr[lo], bits.indptr[hi]
+    return sp.csr_matrix(
+        (bits.data[start:stop], bits.indices[start:stop],
+         bits.indptr[lo:hi + 1] - start), shape=(hi - lo, bits.shape[1]))
+
+
+def _jaccard(product, row_sizes, col_sizes):
+    """Jaccard of every stored entry of a shared-label-count product, and
+    the number of entries in each of its rows."""
+    lengths = np.diff(product.indptr)
+    union = np.repeat(row_sizes, lengths)
+    union += col_sizes[product.indices]
+    union -= product.data
+    return np.divide(product.data, union, out=union), lengths
+
+
 def build_similarity_matrix(corpus, source, compound_index=None, threshold=0.0):
     """All-pairs Jaccard similarity over `compound_index` for one source.
 
     Pairs with similarity >= threshold (and > 0) are stored; the comparison
-    is inclusive.  Computed via a sparse bit-matrix product, so cost scales
-    with shared bits rather than with all n^2 pairs.
+    is inclusive.  Computed from sparse products of the label matrix, so
+    cost scales with shared labels rather than with all n^2 pairs.
+
+    Two passes run over row blocks of the label matrix B (see
+    `_row_blocks`).  The first forms each block's upper triangle, B[lo:hi]
+    times B[lo:] transposed, and counts every kept pair on both of its rows.
+    From those counts the CSR's arrays are allocated once, at their final
+    size.  The second forms each block's full rows, B[lo:hi] times B
+    transposed, with sorted columns, and writes the kept entries into the
+    block's slice.  Memory is the final CSR plus about one block.  Jaccard
+    is computed the same way for (i, j) and (j, i), so the matrix is
+    symmetric bit for bit.
     """
     if not 0.0 <= threshold <= 1.0:
         raise ValueError(f"threshold must be in [0, 1], got {threshold}")
@@ -96,15 +165,44 @@ def build_similarity_matrix(corpus, source, compound_index=None, threshold=0.0):
     if len(set(compound_index)) != len(compound_index):
         raise ValueError("compound_index contains duplicates")
 
-    bit_matrix = corpus.label_index(source).matrix[
-        corpus.positions(compound_index)]
-    sizes = np.diff(bit_matrix.indptr).astype(np.float64)
+    bits = corpus.label_index(source).matrix[corpus.positions(compound_index)]
+    n = bits.shape[0]
+    sizes = np.diff(bits.indptr).astype(np.float64)
+    blocks = list(_row_blocks(bits))
 
-    inter = sp.triu(bit_matrix @ bit_matrix.T, k=1).tocoo()
-    sims = inter.data / (sizes[inter.row] + sizes[inter.col] - inter.data)
-    keep = sims >= threshold if threshold > 0.0 else slice(None)
-    rows, cols, sims = inter.row[keep], inter.col[keep], sims[keep]
-    # the unthresholded pairs are freed before the symmetric CSR is built
-    del inter, keep
-    return SimilarityMatrix(compound_index, rows, cols, sims, threshold)
+    counts = np.zeros(n, dtype=np.int64)
+    for lo, hi in blocks:
+        upper = _rows(bits, lo, hi) @ _rows(bits, lo, n).T
+        sims, lengths = _jaccard(upper, sizes[lo:hi], sizes[lo:])
+        rows = np.repeat(np.arange(hi - lo, dtype=upper.indices.dtype), lengths)
+        keep = upper.indices > rows
+        if threshold > 0.0:
+            keep &= sims >= threshold
+        # a kept pair counts on its own row and, mirrored, on its column's
+        kept_before = np.concatenate(([0], np.cumsum(keep)))[upper.indptr]
+        counts[lo:hi] += np.diff(kept_before)
+        counts[lo:] += np.bincount(upper.indices[keep], minlength=n - lo)
+        # freed before the next block's product is formed
+        del upper, sims, rows, keep
 
+    nnz = int(counts.sum())
+    index_dtype = sp.get_index_dtype(maxval=max(nnz, n))
+    indptr = np.zeros(n + 1, dtype=index_dtype)
+    np.cumsum(counts, out=indptr[1:])
+    indices = np.empty(nnz, dtype=index_dtype)
+    data = np.empty(nnz)
+    bits_t = bits.T.tocsr()
+    for lo, hi in blocks:
+        full = _rows(bits, lo, hi) @ bits_t
+        full.sort_indices()
+        sims, lengths = _jaccard(full, sizes[lo:hi], sizes)
+        diagonal = np.repeat(np.arange(lo, hi, dtype=full.indices.dtype), lengths)
+        keep = full.indices != diagonal
+        if threshold > 0.0:
+            keep &= sims >= threshold
+        indices[indptr[lo]:indptr[hi]] = full.indices[keep]
+        data[indptr[lo]:indptr[hi]] = sims[keep]
+        # freed before the next block's product is formed
+        del full, sims, diagonal, keep
+    csr = sp.csr_matrix((data, indices, indptr), shape=(n, n))
+    return SimilarityMatrix._from_csr(compound_index, csr, threshold)

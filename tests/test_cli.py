@@ -17,7 +17,8 @@ def _case(case_id, *argv):
 
 
 # One bad invocation per numeric flag of each subcommand, plus other bad
-# values that are checked: each must exit 2 with a single ERROR line.
+# values that are checked: each must exit 2 with a single ERROR line and
+# write nothing.
 # `--data-dir` is appended for every subcommand but generate-synthetic,
 # which reads no corpus.
 INVALID_FLAG_CASES = [
@@ -55,6 +56,14 @@ INVALID_FLAG_CASES = [
           "--set-size", "0", "--out-dir", "noir"),
     _case("sources-repeated", "noir", "--target", "T0000", "--activity-type",
           "IC50", "--sources", "CF,CF", "--out-dir", "noir"),
+    _case("sources-unknown", "noir", "--target", "T0000", "--activity-type",
+          "IC50", "--sources", "CF,XX", "--out-dir", "noir"),
+    _case("similarity-unknown-source", "train", "--similarity", "jaccard:XX",
+          "--out", "m.tsv"),
+    _case("similarity-unknown-source-lambda-0", "train", "--similarity",
+          "jaccard:XX", "--lambda", "0", "--out", "m.tsv"),
+    _case("evaluate-similarity-unknown-source", "evaluate", "--similarity",
+          "none", "--similarity", "jaccard:XX", "--out-dir", "eval"),
     _case("min-test-targets", "evaluate", "--min-test-targets", "0",
           "--out-dir", "eval"),
     _case("evaluate-rank", "evaluate", "--rank", "0", "--out-dir", "eval"),
@@ -411,6 +420,11 @@ class TestParser:
         assert "Traceback" not in err
         assert len([line for line in err.splitlines()
                     if line.startswith("ERROR")]) == 1
+        for flag in ("--out", "--out-dir"):
+            if flag in argv:
+                out = tmp_path / argv[argv.index(flag) + 1]
+                assert not out.exists() or (out.is_dir()
+                                            and not any(out.iterdir()))
 
     def test_every_numeric_flag_has_an_invalid_case(self):
         from repurpose.cli import build_parser

@@ -1,12 +1,16 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from helpers import bit_matrix_similarity, jaccard, oracle_jaccard_pairs
 
 from repurpose import (
+    Corpus,
     SimilarityMatrix,
     UnknownCompoundError,
     build_similarity_matrix,
+    similarity,
 )
 
 
@@ -151,8 +155,9 @@ class TestBuildSimilarityMatrix:
 
 
 class TestLabelMatrixRows:
-    """The graph reads the corpus's label matrix; it must equal what
-    per-compound interning of `labels_of` builds."""
+    """The graph reads the corpus's label matrix in row blocks; it must equal
+    what per-compound interning of `labels_of` and one whole product build,
+    whatever the block size."""
 
     @pytest.fixture
     def corpus(self, make_corpus):
@@ -162,15 +167,61 @@ class TestLabelMatrixRows:
         for cid in ids:
             for v in rng.choice(30, size=int(rng.integers(0, 10)), replace=False):
                 rows.append((cid, "CF", f"lab{v:02d}"))
-        return make_corpus(ids, rows)
+        # a hub carrying every label: its bound is the whole matrix's nnz
+        rows.extend(("hub", "CF", f"lab{v:02d}") for v in range(30))
+        return make_corpus(ids + ["hub"], rows)
 
-    @pytest.mark.parametrize("threshold", [0.0, 0.3])
-    def test_graph_bit_identical_to_bit_matrix_build(self, corpus, threshold):
+    @pytest.mark.parametrize("threshold", [0.0, 0.3, 1.0])
+    def test_graph_bit_identical_to_bit_matrix_build(self, corpus, threshold,
+                                                     monkeypatch):
         ids = corpus.compound_ids()
+        unlabeled = tuple(c for c in ids if not corpus.labels_of(c, "CF"))
+        assert unlabeled
+        mid = 300
+        with monkeypatch.context() as patch:
+            patch.setattr(similarity, "_BLOCK_ENTRIES", mid)
+            blocks = list(similarity._row_blocks(corpus.label_index("CF").matrix))
+        # mid: several multi-row blocks, and the hub's row alone in one
+        assert len(blocks) > 1 and max(hi - lo for lo, hi in blocks) > 1
+        assert (ids.index("hub"), ids.index("hub") + 1) in blocks
+        assert corpus.label_index("CF").counts.sum() > mid
+
         rng = np.random.default_rng(42)
-        for index in (ids, ids[::-1], tuple(rng.permutation(ids)[:90])):
-            got = build_similarity_matrix(corpus, "CF", index, threshold).to_csr()
-            want = bit_matrix_similarity(corpus, "CF", index, threshold).to_csr()
-            assert got.indptr.tobytes() == want.indptr.tobytes()
-            assert got.indices.tobytes() == want.indices.tobytes()
-            assert got.data.tobytes() == want.data.tobytes()
+        indexes = (ids, ids[::-1], tuple(rng.permutation(ids)[:90]), (),
+                   ("hub",), unlabeled + ("hub", ids[0]))
+        for block_entries in (1, mid, similarity._BLOCK_ENTRIES):
+            monkeypatch.setattr(similarity, "_BLOCK_ENTRIES", block_entries)
+            for index in indexes:
+                got = build_similarity_matrix(
+                    corpus, "CF", index, threshold).to_csr()
+                want = bit_matrix_similarity(
+                    corpus, "CF", index, threshold).to_csr()
+                for name in ("indptr", "indices", "data"):
+                    got_array, want_array = getattr(got, name), getattr(want, name)
+                    assert got_array.dtype == want_array.dtype
+                    assert got_array.tobytes() == want_array.tobytes()
+
+
+class TestBuildMemory:
+    """numpy and scipy's sparse products allocate through tracemalloc, so its
+    peak counts every temporary the build makes."""
+
+    def test_peak_rise_is_final_csr_plus_one_block(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        ids = [f"m{i:04d}" for i in range(1200)]
+        rows = [(cid, "CF", f"k{i % 3}-{v:02d}") for i, cid in enumerate(ids)
+                for v in rng.choice(16, size=8, replace=False)]
+        corpus = Corpus.build(ids, rows)
+        monkeypatch.setattr(similarity, "_BLOCK_ENTRIES", 20_000)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            matrix = build_similarity_matrix(corpus, "CF", threshold=0.2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        csr = matrix.to_csr()
+        assert csr.nnz > 400_000
+        final = csr.data.nbytes + csr.indices.nbytes + csr.indptr.nbytes
+        # the whole-product build peaked at 2.7x the final CSR
+        assert peak - before <= 1.25 * final
