@@ -284,6 +284,10 @@ def cmd_evaluate(args):
         write_rank_recall_tsv(report, curve_path)
         log.info("%s: mean RMSE %.4f over %d folds, %d sampled compounds",
                  label, report.mean_rmse, args.folds, report.n_sampled)
+        if not all(report.fold_converged):
+            log.warning("%s: %d of %d folds stopped at max_iters (%d) without "
+                        "converging", label, report.fold_converged.count(False),
+                        len(report.fold_converged), config.max_iters)
 
     write_eval_report_tsv(reports, os.path.join(args.out_dir, "eval_report.tsv"))
     table = format_eval_table(reports)

@@ -164,12 +164,17 @@ def recall_at_k(model, train_X, test_triples, k_list=(30, 50, 100),
 
 @dataclass(frozen=True, eq=False)
 class EvalReport:
-    """Cross-validated metrics for one model variant."""
+    """Cross-validated metrics for one model variant.
+
+    `fold_converged[f]` is False when fold f's training stopped at
+    `max_iters` before meeting its tolerance.
+    """
 
     label: str
     fold_rmse: tuple[float, ...]
     recall: dict  # k -> (mean, std), pooled over folds
     n_sampled: int
+    fold_converged: tuple[bool, ...] = ()
 
     @property
     def mean_rmse(self):
@@ -193,7 +198,7 @@ def cross_validate(X, config, S=None, n_folds=5, k_list=(30, 50, 100),
     if label is None:
         label = "CS-NMF" if regularized else "NMF"
 
-    fold_rmse = []
+    fold_rmse, fold_converged = [], []
     pooled = {int(k): [] for k in k_list}
     n_sampled = 0
     for fold_index, held_out in enumerate(split.folds):
@@ -203,6 +208,7 @@ def cross_validate(X, config, S=None, n_folds=5, k_list=(30, 50, 100),
         else:
             model = train_nmf(train_X, config)
         fold_rmse.append(rmse(model, held_out))
+        fold_converged.append(model.converged)
         result = recall_at_k(
             model, train_X, held_out, k_list=k_list, sample_size=sample_size,
             min_train_targets=min_train_targets,
@@ -219,7 +225,7 @@ def cross_validate(X, config, S=None, n_folds=5, k_list=(30, 50, 100),
         recall_summary[k] = (float(np.mean(values)), float(np.std(values)))
     return EvalReport(
         label=label, fold_rmse=tuple(fold_rmse), recall=recall_summary,
-        n_sampled=n_sampled)
+        n_sampled=n_sampled, fold_converged=tuple(fold_converged))
 
 
 # -- report output -----------------------------------------------------------

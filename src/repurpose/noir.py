@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import _iter_rows
+from .corpus import _tsv_chunks
 from .errors import FormatError, NoRelevantCompoundsError
 
 log = logging.getLogger(__name__)
@@ -314,7 +314,9 @@ def read_reference_set(path, target=""):
     """
     labels = []
     source = None
-    rows = _iter_rows(path, _REFSET_COLUMNS, header_required=False)
+    rows = ((lineno, row) for linenos, fields in
+            _tsv_chunks(path, _REFSET_COLUMNS, header_required=False)
+            for lineno, row in zip(linenos, zip(*fields)))
     for lineno, (label, row_source, o, e, c, score) in rows:
         if not row_source:
             raise FormatError(path, lineno, "empty source")

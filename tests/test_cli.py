@@ -310,6 +310,20 @@ class TestTrainEvaluateRecommend:
         assert header == "metric\tNMF\tCS-NMF:CF"
         assert "RMSE" in out and "Recall at 3" in out
 
+    def test_unconverged_folds_logged_once_per_variant(self, data_dir,
+                                                       tmp_path, capsys):
+        assert self._evaluate(data_dir, tmp_path / "a", "--similarity", "none",
+                              "--similarity", "jaccard:CF",
+                              "--max-iters", "2", "--tol", "1e-12") == 0
+        warnings = [line for line in capsys.readouterr().err.splitlines()
+                    if line.startswith("WARNING")]
+        assert warnings == [
+            f"WARNING {label}: 3 of 3 folds stopped at max_iters (2) without "
+            "converging" for label in ("NMF", "CS-NMF:CF")]
+        # a tolerance every first iteration meets: all folds converge
+        assert self._evaluate(data_dir, tmp_path / "b", "--tol", "10") == 0
+        assert "WARNING" not in capsys.readouterr().err
+
     def test_lambda_zero_equals_similarity_none(self, data_dir, tmp_path,
                                                 capsys):
         a_dir, b_dir = tmp_path / "a", tmp_path / "b"

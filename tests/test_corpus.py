@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from repurpose import (
     UnknownCompoundError,
     UnknownSourceError,
     UnknownTargetError,
+    corpus as corpus_module,
     load_corpus,
 )
 
@@ -165,6 +167,48 @@ class TestBuildErrors:
         with pytest.raises(FormatError, match=f"^{where}: "):
             Corpus.build(compounds, labels, activities)
 
+    @pytest.mark.parametrize("compounds, labels, activities, where, error, message", [
+        (["c1"], [("c1", "CF", "x"), ("c1", "CF", "y"), ("ghost", "CF", "x"),
+                  ("c1", "CF", "z"), ("c1", "CF", "")], [],
+         "labels:3", UnknownCompoundError,
+         "label references unknown compound 'ghost'"),
+        (["c1"], [], [("c1", "t1", "IC50", "1"), ("c1", "t1", "IC50", "abc"),
+                      ("c1", "t2", "IC50", "2"), ("c1", "t1", " ", "1")],
+         "activities:2", FormatError,
+         "activity value must be a finite positive number, got 'abc'"),
+        (["c1"], [], [("ghost", "t1", "IC50", "1"), ("c1", "t1", "IC50", "-1")],
+         "activities:1", UnknownCompoundError,
+         "activity references unknown compound 'ghost'"),
+        ([("c1", "CC"), (" ", "C"), ("c1", "CCC")], [], [],
+         "compounds:2", FormatError, "empty id or tab/CR/LF in compound row "
+         r"\('', 'C'\)"),
+        ([("c1", "CC"), ("c1", "CCC"), (" ", "C")], [], [],
+         "compounds:2", FormatError,
+         "duplicate compound id 'c1' with conflicting smiles"),
+        (["c1"], [("c1", "CF", "x"), ("ghost", " ", "x")], [],
+         "labels:2", FormatError, "empty field or tab/CR/LF in label row "
+         r"\('ghost', '', 'x'\)"),
+        (["c1"], [], [("ghost ", "", "IC50", "abc")],
+         "activities:1", FormatError, "empty field or tab/CR/LF in activity "
+         r"row \('ghost', '', 'IC50'\)"),
+        (["c1"], [], [("ghost", "t1", "IC50", "0")],
+         "activities:1", FormatError,
+         "activity value must be a finite positive number, got '0'"),
+    ], ids=["unknown-before-empty-label", "value-before-empty-type",
+            "unknown-before-bad-value", "empty-before-conflict",
+            "conflict-before-empty", "field-before-unknown",
+            "field-before-value-and-unknown", "value-before-unknown"])
+    def test_first_bad_row_and_first_failing_check_reported(
+            self, tmp_path, compounds, labels, activities, where, error,
+            message):
+        with pytest.raises(error, match=f"^{where}: {message}$"):
+            Corpus.build(compounds, labels, activities)
+        # the file twin: each stream's header is line 1
+        stream, row = where.split(":")
+        paths = write_corpus_files(tmp_path, compounds, labels, activities)
+        with pytest.raises(error, match=f"{stream}.tsv:{int(row) + 1}: {message}$"):
+            load_corpus(*paths)
+
     def test_unknown_compound_names_the_row(self):
         with pytest.raises(UnknownCompoundError, match="^labels:2: .*'ghost'"):
             Corpus.build(["c1"], [("c1", "CF", "x"), ("ghost", "CF", "x")])
@@ -181,6 +225,146 @@ class TestBuildErrors:
         assert built.activity_matrix("IC50")[1, 0] == 5.0
         paths = write_corpus_files(tmp_path, compounds, labels, activities)
         assert load_corpus(*paths) == built
+
+
+def _chunk_rows():
+    """Rows whose files span many 300-byte chunks, with '#'-led ids and
+    labels well below the first chunk."""
+    compounds = [(f"c{i:02d}", "CC(=O)O" + "C" * (i % 4)) for i in range(30)]
+    compounds += [("#c1", ""), ("c30", "#")]
+    labels = [(cid, source, f"{source}-{(7 * i + k) % 11}")
+              for i, (cid, _) in enumerate(compounds)
+              for source in ("CF", "OC") for k in range(3)]
+    labels += [("#c1", "CF", "#x"), labels[5]]
+    activities = [(cid, f"t{(i + k) % 6}", ("IC50", "Ki")[k % 2],
+                   str(1.5 + (i * k) % 9)) for i, (cid, _) in enumerate(compounds)
+                  for k in range(4)]
+    activities += [("#c1", "t0", "IC50", "0.5"), ("c03", "t3", "IC50", "0.25")]
+    return compounds, labels, activities
+
+
+def _write_files(directory, compounds, labels, activities, newline="\n",
+                 final_newline=True, preamble=()):
+    """The three corpus files, with `newline` line ends and the `preamble`
+    lines above each header; returns their paths."""
+    directory.mkdir(parents=True, exist_ok=True)
+    paths = []
+    for name, header, rows in (
+            ("compounds", "compound_id\tsmiles", compounds),
+            ("labels", "compound_id\tsource\tlabel", labels),
+            ("activities", "compound_id\ttarget_id\tactivity_type\tvalue_nM",
+             activities)):
+        lines = [*preamble, header, *("\t".join(row) for row in rows)]
+        path = directory / f"{name}.tsv"
+        path.write_bytes((newline.join(lines)
+                          + (newline if final_newline else "")).encode())
+        paths.append(path)
+    return paths
+
+
+class TestChunkBoundaries:
+    """The chunked reader gives the same corpus and the same errors whatever
+    the chunk size: one character, a few rows, or the default."""
+
+    @pytest.fixture(autouse=True, params=[1, 300, corpus_module._CHUNK_BYTES],
+                    ids=["chunk-1", "chunk-300", "chunk-default"])
+    def chunk_bytes(self, request, monkeypatch):
+        monkeypatch.setattr(corpus_module, "_CHUNK_BYTES", request.param)
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"],
+                             ids=["lf", "crlf", "cr"])
+    def test_line_ends(self, tmp_path, newline):
+        rows = _chunk_rows()
+        corpus = load_corpus(*_write_files(tmp_path, *rows, newline=newline))
+        assert corpus == Corpus.build(*rows)
+        assert corpus.n_compounds == 32
+        assert corpus.activity_matrix("IC50").nnz > 0
+
+    def test_no_final_newline(self, tmp_path):
+        rows = _chunk_rows()
+        paths = _write_files(tmp_path, *rows, final_newline=False)
+        assert paths[2].read_bytes().endswith(b"\t0.25")
+        assert load_corpus(*paths) == Corpus.build(*rows)
+
+    def test_comments_and_blank_lines_span_chunks(self, tmp_path):
+        rows = _chunk_rows()
+        preamble = [f"# comment {k} " + "-" * 40 for k in range(12)] \
+            + ["", "  ", "#", "\t"]
+        compounds, labels, activities = rows
+        # blank and whitespace-only lines between data rows are skipped too
+        gapped = (compounds[:20] + [("", "")] + compounds[20:],
+                  labels[:50] + [(" ", " ", " ")] + labels[50:], activities)
+        paths = _write_files(tmp_path, *gapped, newline="\r\n",
+                             preamble=preamble)
+        assert load_corpus(*paths) == Corpus.build(*rows)
+        # the missing compounds header is reported on its exact line
+        text = paths[0].read_text().split("\n")
+        paths[0].write_text("\n".join(text[:len(preamble)]
+                                      + text[len(preamble) + 1:]))
+        with pytest.raises(FormatError,
+                           match=f"compounds.tsv:{len(preamble) + 1}: missing header"):
+            load_corpus(*paths)
+
+    def test_hash_row_in_later_chunk(self, tmp_path):
+        rows = _chunk_rows()
+        paths = _write_files(tmp_path, *rows)
+        for path in paths:
+            assert path.read_text().index("\n#c1\t") > 300
+        corpus = load_corpus(*paths)
+        assert corpus == Corpus.build(*rows)
+        assert "#x" in corpus.labels_of("#c1", "CF")
+        assert corpus.compounds_for_target("t0", "IC50", 1.0) == {"#c1"}
+
+    def test_bad_row_deep_in_file_names_its_line(self, tmp_path):
+        compounds, labels, activities = _chunk_rows()
+        deep = 100  # a row far below the first chunk, on line 102
+        cases = [
+            ("labels", labels[:deep] + [("c01", "CF")] + labels[deep:],
+             activities, FormatError, "expected 3 tab-separated columns, got 2"),
+            # the field-count error two rows down must not come first
+            ("labels", labels[:deep] + [("ghost", "CF", "x"), ("c01", "CF")]
+             + labels[deep:], activities, UnknownCompoundError,
+             "label references unknown compound 'ghost'"),
+            ("activities", labels,
+             activities[:deep] + [("c01", "t1", "IC50", "-2")] + activities[deep:],
+             FormatError, "activity value must be a finite positive number"),
+        ]
+        for k, (name, label_rows, activity_rows, error, message) in enumerate(cases):
+            paths = _write_files(tmp_path / str(k), compounds, label_rows,
+                                 activity_rows, newline="\r\n")
+            with pytest.raises(error, match=f"{name}.tsv:{deep + 2}: {message}"):
+                load_corpus(*paths)
+            if k:  # in-memory rows have no field count to get wrong
+                with pytest.raises(error, match=f"^{name}:{deep + 1}: {message}"):
+                    Corpus.build(compounds, label_rows[:deep + 1], activity_rows)
+
+
+class TestLoadMemory:
+    """The loader's traced peak stays within a small multiple of the corpus
+    it returns: each file is read a chunk at a time into int32 codes, and no
+    per-row Python objects outlive their chunk."""
+
+    def test_peak_rise_is_a_small_multiple_of_the_corpus(self, tmp_path):
+        rng = np.random.default_rng(9)
+        ids = [f"C{i:05d}" for i in range(4000)]
+        labels = [(cid, source, f"{source}:{i % 8}:{v:02d}")
+                  for i, cid in enumerate(ids) for source in ("CF", "OC")
+                  for v in rng.choice(16, size=8, replace=False)]
+        activities = [(cid, f"T{(i % 8) * 10 + t:03d}", "IC50",
+                       f"{rng.uniform(1.0, 9000.0):.4f}")
+                      for i, cid in enumerate(ids)
+                      for t in rng.choice(10, size=8, replace=False)]
+        paths = write_corpus_files(tmp_path, ids, labels, activities)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            corpus = load_corpus(*paths)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert corpus.n_activity_records == len(activities)
+        # the per-row ingest peaked at about 10x what it kept
+        assert peak - before <= 3 * (kept - before)
 
 
 class TestCompoundsForTarget:

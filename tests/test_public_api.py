@@ -6,13 +6,19 @@ top-level function or class is referred to by its bare name in its own
 module or in a file that imports it from the package, or as an attribute of
 an imported package module (the benchmark patches functions that way).  A
 method is referred to by any attribute of its name, except one taken from
-a module imported from outside the package.  Tests do not count,
-so code that only tests reach shows up here.  A name kept on purpose
-without such a caller goes on `UNCALLED_ALLOWED` with the reason it stays.
+a module imported from outside the package.  A method whose name is also an
+attribute of a builtin container, `str` or `numpy.ndarray` (`get`, `shape`)
+would pass on any read of that attribute, so it counts as called only when
+`COLLIDING_CALLERS` names the file that calls it and that file reads the
+attribute.  Tests do not count, so code that only tests reach shows up
+here.  A name kept on purpose without such a caller goes on
+`UNCALLED_ALLOWED` with the reason it stays.
 """
 
 import ast
 import pathlib
+
+import numpy as np
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "repurpose"
@@ -20,6 +26,8 @@ CALLER_DIRS = (ROOT / "src", ROOT / "perfbench", ROOT / "demos")
 
 # "module.Name" or "module.Class.method" -> why it stays without a caller.
 UNCALLED_ALLOWED = {
+    "corpus.Corpus.build":
+        "the in-memory twin of load_corpus, which tests state rows through",
     "corpus.Corpus.smiles_of":
         "the only reader of the compounds file's SMILES column",
     "factorization.objective":
@@ -28,6 +36,16 @@ UNCALLED_ALLOWED = {
     "noir.doc_score":
         "the per-compound document score that batched retrieval must equal "
         "float for float",
+}
+
+BUILTIN_ATTRIBUTES = frozenset().union(
+    *(dir(kind) for kind in (dict, list, set, str, tuple, np.ndarray)))
+
+# "module.Class.method" whose name is in BUILTIN_ATTRIBUTES -> the file,
+# relative to the root, that calls it.
+COLLIDING_CALLERS = {
+    "factorization.InteractionMatrix.shape": "demos/04_factor_models.py",
+    "similarity.SimilarityMatrix.get": "demos/03_fingerprint_similarity.py",
 }
 
 
@@ -98,13 +116,18 @@ def references():
 
 def uncalled():
     bare, attributes = references()
-    return sorted(
-        qualified
-        for qualified, is_method, path, first, last in public_definitions()
-        if not any(
-            where != path or not first <= line <= last
-            for where, line in (attributes if is_method else bare).get(
-                qualified.rsplit(".", 1)[1], ())))
+    found = []
+    for qualified, is_method, path, first, last in public_definitions():
+        name = qualified.rsplit(".", 1)[1]
+        uses = (attributes if is_method else bare).get(name, ())
+        if is_method and name in BUILTIN_ATTRIBUTES:
+            caller = COLLIDING_CALLERS.get(qualified)
+            uses = [(where, line) for where, line in uses
+                    if caller and where == ROOT / caller]
+        if not any(where != path or not first <= line <= last
+                   for where, line in uses):
+            found.append(qualified)
+    return sorted(found)
 
 
 def test_every_public_name_has_a_caller():
@@ -113,3 +136,10 @@ def test_every_public_name_has_a_caller():
 
 def test_allowlist_names_existing_uncalled_definitions():
     assert sorted(set(UNCALLED_ALLOWED) - set(uncalled())) == []
+
+
+def test_colliding_callers_name_colliding_methods():
+    methods = {name for name, is_method, *_ in public_definitions() if is_method}
+    for qualified in COLLIDING_CALLERS:
+        assert qualified in methods
+        assert qualified.rsplit(".", 1)[1] in BUILTIN_ATTRIBUTES

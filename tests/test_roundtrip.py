@@ -9,6 +9,7 @@ text.
 
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 from hypothesis import given
@@ -24,6 +25,7 @@ from repurpose import (
     ReferenceSetConfig,
     ScoredLabel,
     TrainConfig,
+    corpus,
     load_corpus,
     load_model,
     read_reference_set,
@@ -58,11 +60,21 @@ def corpus_rows(draw):
     return compounds, labels, activities
 
 
-@given(corpus_rows())
-def test_corpus_files_load_as_built(rows):
+def _check_load_as_built(rows):
     with tempfile.TemporaryDirectory() as directory:
         paths = write_corpus_files(Path(directory), *rows)
         assert load_corpus(*paths) == Corpus.build(*rows)
+
+
+@given(corpus_rows())
+def test_corpus_files_load_as_built(rows):
+    _check_load_as_built(rows)
+
+
+@given(corpus_rows())
+def test_corpus_files_load_as_built_in_one_character_chunks(rows):
+    with mock.patch.object(corpus, "_CHUNK_BYTES", 1):
+        _check_load_as_built(rows)
 
 
 @st.composite
