@@ -217,16 +217,47 @@ def cmd_noir(args):
     return 0
 
 
+def _similarity_graph(corpus, source, interactions, threshold):
+    """Build the Jaccard graph over the interaction matrix's compounds and
+    log its size."""
+    graph = build_similarity_matrix(corpus, source, interactions.compounds,
+                                    threshold=threshold)
+    n = graph.n_compounds
+    log.info("similarity graph jaccard:%s: %d compounds, %d pairs, mean "
+             "degree %.2f, %d isolated", source, n, graph.n_pairs,
+             2 * graph.n_pairs / n if n else 0.0,
+             np.count_nonzero(graph.degrees() == 0))
+    return graph
+
+
+def _log_iteration():
+    """An `on_iteration` callback logging J and its relative decrease."""
+    previous = None
+
+    def on_iteration(iteration, U, V, value):
+        nonlocal previous
+        # the first call has no J before it to compare with, and a J of 0
+        # no relative decrease
+        if previous:
+            log.debug("iteration %d: J %.10g, relative decrease %.3g",
+                      iteration, value, (previous - value) / previous)
+        else:
+            log.debug("iteration %d: J %.10g", iteration, value)
+        previous = value
+    return on_iteration
+
+
 def _train_model(corpus, args):
     config = _train_config(args)
     source = _similarity_source(args.similarity, corpus)
     interactions = build_interaction_matrix(corpus, args.activity_type)
     if source is None or args.lam == 0:
-        model = train_nmf(interactions, config)
+        model = train_nmf(interactions, config, on_iteration=_log_iteration())
     else:
-        similarity = build_similarity_matrix(
-            corpus, source, interactions.compounds, threshold=args.sim_threshold)
-        model = train_csnmf(interactions, similarity, config)
+        similarity = _similarity_graph(corpus, source, interactions,
+                                       args.sim_threshold)
+        model = train_csnmf(interactions, similarity, config,
+                            on_iteration=_log_iteration())
     return interactions, model
 
 
@@ -264,9 +295,8 @@ def cmd_evaluate(args):
         if source is None or args.lam == 0:
             similarity, label = None, "NMF"
         else:
-            similarity = build_similarity_matrix(
-                corpus, source, interactions.compounds,
-                threshold=args.sim_threshold)
+            similarity = _similarity_graph(corpus, source, interactions,
+                                           args.sim_threshold)
             label = f"CS-NMF:{source}"
         if label in seen:
             log.warning("variant %s already evaluated; skipping duplicate", label)

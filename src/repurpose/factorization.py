@@ -10,6 +10,7 @@ the updates' own products; :func:`objective` is the pairwise reference.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -152,11 +153,12 @@ def _index_tuples(X, n, m):
     return tuple(str(i) for i in range(n)), tuple(str(j) for j in range(m))
 
 
-def _similarity_parts(S, X, n_rows):
-    """Validate S against X and return (symmetric CSR, degree vector) or
-    (None, None)."""
+def _similarity_graph(S, X, compounds):
+    """Validate S against X and return it as a SimilarityMatrix, or None
+    without S.  A raw matrix is wrapped with its rows in compound order."""
     if S is None:
-        return None, None
+        return None
+    n_rows = len(compounds)
     if isinstance(S, SimilarityMatrix):
         if isinstance(X, InteractionMatrix):
             if S.compounds != X.compounds:
@@ -167,7 +169,7 @@ def _similarity_parts(S, X, n_rows):
             raise FactorizationError(
                 f"similarity index size {S.n_compounds} does not match "
                 f"matrix rows {n_rows}")
-        return S.to_csr(), S.degrees()
+        return S
 
     S_csr = sp.csr_matrix(np.asarray(S, dtype=np.float64)) if not sp.issparse(S) \
         else S.tocsr().astype(np.float64)
@@ -181,7 +183,8 @@ def _similarity_parts(S, X, n_rows):
         raise FactorizationError("similarity matrix must have a zero diagonal")
     if S_csr.nnz and S_csr.data.min() < 0:
         raise FactorizationError("similarity values must be non-negative")
-    return S_csr, np.asarray(S_csr.sum(axis=1)).ravel()
+    S_csr.sum_duplicates()  # sorted indices, as SimilarityMatrix holds them
+    return SimilarityMatrix._from_csr(compounds, S_csr, 0.0, None)
 
 
 def _objective_from_products(x_sq, U, XV, gram_u, gram_v, lam=0.0,
@@ -229,7 +232,8 @@ def objective(X, U, V, S=None, lam=0.0):
     value = _objective_from_products(
         float((X_csr.data ** 2).sum()), U, X_csr @ V, U.T @ U, V.T @ V)
     if S is not None and lam != 0.0:
-        value += _penalty_term(_similarity_parts(S, X, n)[0], U, lam)
+        graph = _similarity_graph(S, X, _index_tuples(X, n, m)[0])
+        value += _penalty_term(graph.to_csr(), U, lam)
     return value
 
 
@@ -285,8 +289,9 @@ def _train_core(X, S, lam, config, on_iteration):
             f"rank {config.rank} exceeds min(rows, cols) = {min(n, m)}")
     if X_csr.nnz and X_csr.data.min() < 0:
         raise FactorizationError("input matrix must be nonnegative")
-    S_csr, degrees = _similarity_parts(S, X, n)
-    regularize = lam > 0.0 and S_csr is not None
+    compounds, targets = _index_tuples(X, n, m)
+    graph = _similarity_graph(S, X, compounds)
+    regularize = lam > 0.0 and graph is not None
 
     rng = np.random.default_rng(config.seed)
     mean = X_csr.sum() / (n * m)
@@ -304,9 +309,11 @@ def _train_core(X, S, lam, config, on_iteration):
     # (lam/2) tr(U^T L U) = (lam/2) (sum_i d_i ||u_i||^2 - <U, S U>).  X V,
     # V^T V and S U are formed once at the end of each iteration: they
     # score it, then feed the next U-update (X V and S U in the numerator,
-    # V^T V in the denominator).  U^T U comes from the V-update.
+    # V^T V in the denominator).  U^T U comes from the V-update; S U is
+    # written into one buffer reused across iterations.
     XV, gram_v = X_csr @ V, V.T @ V
-    SU = S_csr @ U if regularize else None
+    degrees = graph.degrees() if regularize else None
+    SU = graph._product(U, np.empty_like(U)) if regularize else None
     trace = [_objective_from_products(
         x_sq, U, XV, U.T @ U, gram_v, lam, degrees, SU)]
     converged = False
@@ -322,7 +329,7 @@ def _train_core(X, S, lam, config, on_iteration):
             assert (U >= 0.0).all() and (V >= 0.0).all()
 
         XV, gram_v = X_csr @ V, V.T @ V
-        SU = S_csr @ U if regularize else None
+        SU = graph._product(U, SU) if regularize else None
         value = _objective_from_products(
             x_sq, U, XV, gram_u, gram_v, lam, degrees, SU)
         if not (math.isfinite(value)
@@ -338,7 +345,6 @@ def _train_core(X, S, lam, config, on_iteration):
             converged = True
             break
 
-    compounds, targets = _index_tuples(X, n, m)
     return FactorModel(
         U=U, V=V, compounds=compounds, targets=targets, config=config,
         objective_trace=np.asarray(trace), converged=converged,
@@ -400,24 +406,26 @@ def save_model(model, path):
         fh.write(_MODEL_MAGIC + "\n")
         for key, value in zip(_MODEL_KEYS, values):
             fh.write(f"{key}\t{value}\n")
+        # one row at a time; %.17g writes a float as _fmt does
+        row_format = "%s" + "\t%.17g" * model.rank + "\n"
         for ids, factors in ((model.compounds, model.U),
                              (model.targets, model.V)):
-            for name, row in zip(ids, factors.tolist()):
-                fh.write(name + "\t" + "\t".join(map(_fmt, row)) + "\n")
+            for name, row in zip(ids, factors):
+                fh.write(row_format % (name, *row.tolist()))
         for value in model.objective_trace:
             fh.write(_fmt(value) + "\n")
 
 
-def _model_block(path, lines, start, count, width, with_ids):
-    """Parse lines[start:start + count] (file lines start + 1 onwards), each
-    of exactly `width` fields, into (ids, values): with `with_ids` a row is
-    a non-empty, unique id and factors >= 0, else only values; every value
-    must be a finite number."""
-    if not 0 <= count <= len(lines) - start:
+def _model_block(path, lines, n_lines, start, count, width, with_ids):
+    """Parse the next `count` of `lines` (file lines start + 1 onwards, of
+    `n_lines` in the file), each of exactly `width` fields, into (ids,
+    values): with `with_ids` a row is a non-empty, unique id and factors
+    >= 0, else only values; every value must be a finite number."""
+    if not 0 <= count <= n_lines - start:
         raise FormatError(path, start + 1, f"expected {count} rows here, "
-                          f"but the file has {len(lines)} lines")
+                          f"but the file has {n_lines} lines")
     ids, values = {}, np.empty((count, width - with_ids))
-    for k, line in enumerate(lines[start:start + count]):
+    for k, line in enumerate(itertools.islice(lines, count)):
         lineno, row = start + 1 + k, line.split("\t")
         if len(row) != width:
             raise FormatError(path, lineno, f"expected {width} tab-separated "
@@ -446,41 +454,45 @@ def load_model(path):
     Rows are read by position and each must have its exact width.  Factors
     must be finite and nonnegative, the trace finite, and ids non-empty and
     unique; nothing may follow the trace.  Files of any other format
-    version are rejected.
+    version are rejected.  The file is read line by line into arrays of
+    their final size, after a first pass that counts its lines, so that a
+    block the file is too short for is reported before any of its rows.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().split("\n")
-    if lines[0] != _MODEL_MAGIC:
-        raise FormatError(
-            path, 1, f"not a factor-model file (expected {_MODEL_MAGIC!r})")
-    if lines[-1] == "":
-        lines.pop()
+        n_lines = sum(1 for _ in fh)
+        fh.seek(0)
+        lines = (line.rstrip("\n") for line in fh)
+        if next(lines, "") != _MODEL_MAGIC:
+            raise FormatError(
+                path, 1, f"not a factor-model file (expected {_MODEL_MAGIC!r})")
+        config_rows = [line.partition("\t")
+                       for line in itertools.islice(lines, len(_MODEL_KEYS))]
+        fields = {key: value for key, _, value in config_rows}
+        if tuple(fields) != _MODEL_KEYS:
+            raise FormatError(path, 2, "expected one key<TAB>value row for each "
+                              "of, in order: " + ", ".join(_MODEL_KEYS))
+        try:
+            config = TrainConfig(
+                rank=int(fields["rank"]),
+                lam=float(fields["lambda"]),
+                max_iters=int(fields["max_iters"]),
+                rel_tol=float(fields["rel_tol"]),
+                epsilon_guard=float(fields["epsilon_guard"]),
+                seed=int(fields["seed"]),
+            )
+            converged, regularized, n, m, n_trace = (
+                int(fields[key]) for key in _MODEL_KEYS[6:])
+        except ValueError as exc:
+            raise FormatError(path, 0, f"bad config value: {exc}") from None
 
-    config_rows = [line.partition("\t") for line in lines[1:1 + len(_MODEL_KEYS)]]
-    fields = {key: value for key, _, value in config_rows}
-    if tuple(fields) != _MODEL_KEYS:
-        raise FormatError(path, 2, "expected one key<TAB>value row for each "
-                          "of, in order: " + ", ".join(_MODEL_KEYS))
-    try:
-        config = TrainConfig(
-            rank=int(fields["rank"]),
-            lam=float(fields["lambda"]),
-            max_iters=int(fields["max_iters"]),
-            rel_tol=float(fields["rel_tol"]),
-            epsilon_guard=float(fields["epsilon_guard"]),
-            seed=int(fields["seed"]),
-        )
-        converged, regularized, n, m, n_trace = (
-            int(fields[key]) for key in _MODEL_KEYS[6:])
-    except ValueError as exc:
-        raise FormatError(path, 0, f"bad config value: {exc}") from None
-
-    start = 1 + len(_MODEL_KEYS)
-    compounds, U = _model_block(path, lines, start, n, config.rank + 1, True)
-    targets, V = _model_block(path, lines, start + n, m, config.rank + 1, True)
-    start += n + m
-    _, trace = _model_block(path, lines, start, n_trace, 1, False)
-    if len(lines) > start + n_trace:
+        start = 1 + len(_MODEL_KEYS)
+        compounds, U = _model_block(path, lines, n_lines, start, n,
+                                    config.rank + 1, True)
+        targets, V = _model_block(path, lines, n_lines, start + n, m,
+                                  config.rank + 1, True)
+        start += n + m
+        _, trace = _model_block(path, lines, n_lines, start, n_trace, 1, False)
+    if n_lines > start + n_trace:
         raise FormatError(path, start + n_trace + 1, "extra rows after the trace")
     return FactorModel(U=U, V=V, compounds=compounds, targets=targets,
                        config=config, objective_trace=trace.ravel(),

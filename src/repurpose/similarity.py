@@ -7,6 +7,13 @@ those rows with their own transpose, optionally thresholded, and is held as
 one symmetric CSR with the diagonal left out; that matrix is the
 regularization graph of the factorization trainer.
 
+The CSR's rows are stored in label-locality order: compounds that share
+their rarest label sit on adjacent rows, so the trainer's product of the
+graph with its factor rows reads rows it has just read (Cuthill & McKee's
+bandwidth idea, with an order taken from the labels rather than the
+graph).  Only the rows are permuted; each stored row is its compound's row
+of the graph, with columns in compound order.
+
 The graph is built in two passes over row blocks of the label matrix, so
 the whole product is never formed: the first counts each row's kept
 entries, and the second writes each block's rows into arrays allocated once
@@ -32,8 +39,10 @@ class SimilarityMatrix:
 
     The CSR holds both triangles with sorted indices; a zero value is no
     edge and is not stored.  The diagonal is excluded -- the regularization
-    penalty is zero there.  The constructor takes upper-triangle triplets
-    (i < j by position in the compound index).
+    penalty is zero there.  Stored row k is the row of compound `order[k]`
+    (see the module docstring); every accessor answers in compound order.
+    The constructor takes upper-triangle triplets (i < j by position in the
+    compound index) and stores rows in compound order.
     """
 
     def __init__(self, compounds, rows, cols, values, threshold=0.0):
@@ -47,16 +56,23 @@ class SimilarityMatrix:
         self._hold(compounds, upper + upper.T, threshold)
 
     @classmethod
-    def _from_csr(cls, compounds, csr, threshold):
-        """Wrap a finished symmetric CSR: sorted indices, no diagonal."""
+    def _from_csr(cls, compounds, csr, threshold, order):
+        """Wrap a finished symmetric CSR (sorted indices, no diagonal) whose
+        row k is compound order[k]'s."""
         matrix = cls.__new__(cls)
-        matrix._hold(tuple(compounds), csr, threshold)
+        matrix._hold(tuple(compounds), csr, threshold, order)
         return matrix
 
-    def _hold(self, compounds, csr, threshold):
+    def _hold(self, compounds, csr, threshold, order=None):
+        if order is None:
+            order = np.arange(len(compounds), dtype=csr.indices.dtype)
         self.compounds = compounds
         self.threshold = float(threshold)
         self._csr = csr
+        self._order = order
+        # the stored row of each compound position
+        self._row = np.empty_like(order)
+        self._row[order] = np.arange(len(order), dtype=order.dtype)
         self._pos = {c: i for i, c in enumerate(compounds)}
 
     @property
@@ -77,7 +93,7 @@ class SimilarityMatrix:
     def get(self, compound_a, compound_b):
         """Similarity between two compounds (symmetric; 0.0 when unstored or
         when both ids are the same, since the diagonal is not kept)."""
-        i = self.position(compound_a)
+        i = self._row[self.position(compound_a)]
         j = self.position(compound_b)
         lo, hi = self._csr.indptr[i], self._csr.indptr[i + 1]
         at = lo + np.searchsorted(self._csr.indices[lo:hi], j)
@@ -87,16 +103,39 @@ class SimilarityMatrix:
 
     def triplets(self):
         """(rows, cols, values) arrays of the upper triangle, row-major."""
-        upper = sp.triu(self._csr, k=1).tocoo()
-        return upper.row, upper.col, upper.data
+        csr = self._csr
+        # a stored row's upper-triangle entries are the tail of its sorted
+        # columns: those past its own compound's position
+        upper = csr.indices > np.repeat(self._order, np.diff(csr.indptr))
+        tails = np.diff(np.searchsorted(np.flatnonzero(upper), csr.indptr))
+        del upper
+        counts = tails[self._row]
+        starts = (csr.indptr[1:] - tails)[self._row]
+        # the tails' entry positions, compound by compound
+        at = np.repeat(starts - np.cumsum(counts) + counts, counts)
+        at += np.arange(len(at))
+        rows = np.repeat(np.arange(self.n_compounds, dtype=csr.indices.dtype),
+                         counts)
+        return rows, csr.indices[at], csr.data[at]
 
     def to_csr(self):
-        """The stored symmetric CSR (both triangles, zero diagonal)."""
-        return self._csr
+        """A copy of the graph as a symmetric CSR with rows in compound order
+        (both triangles, sorted indices, zero diagonal).  It is rebuilt on
+        every call, at the size of the stored graph."""
+        return self._csr[self._row]
+
+    def _product(self, U, out):
+        """S U in compound order, written into `out` and returned.  Each row
+        sums the same terms in the same order as a product with the
+        compound-order CSR, so the result does not depend on the row order."""
+        out[self._order] = self._csr @ U
+        return out
 
     def degrees(self):
         """Row sums of the symmetric matrix (the D diagonal of L = D - S)."""
-        return np.asarray(self._csr.sum(axis=1)).ravel()
+        degrees = np.empty(self.n_compounds)
+        degrees[self._order] = np.asarray(self._csr.sum(axis=1)).ravel()
+        return degrees
 
     def __repr__(self):
         return (f"SimilarityMatrix({self.n_compounds} compounds, "
@@ -140,6 +179,25 @@ def _jaccard(product, row_sizes, col_sizes):
     return np.divide(product.data, union, out=union), lengths
 
 
+def _locality_order(bits):
+    """Row order of a label CSR that puts rows sharing labels together.
+
+    Each row is keyed by its rarest label -- the one the fewest rows carry,
+    ties broken by column -- so the rows under one key share at least that
+    label; rows without labels go last, and ties keep their row order.
+    """
+    n, m = bits.shape
+    rarity = np.empty(m, dtype=np.int64)
+    rarity[np.argsort(np.bincount(bits.indices, minlength=m), kind="stable")] = \
+        np.arange(m)
+    keys = np.full(n, m, dtype=np.int64)
+    labelled = np.flatnonzero(np.diff(bits.indptr))
+    if len(labelled):
+        keys[labelled] = np.minimum.reduceat(rarity[bits.indices],
+                                             bits.indptr[labelled])
+    return np.argsort(keys, kind="stable")
+
+
 def build_similarity_matrix(corpus, source, compound_index=None, threshold=0.0):
     """All-pairs Jaccard similarity over `compound_index` for one source.
 
@@ -147,15 +205,17 @@ def build_similarity_matrix(corpus, source, compound_index=None, threshold=0.0):
     is inclusive.  Computed from sparse products of the label matrix, so
     cost scales with shared labels rather than with all n^2 pairs.
 
-    Two passes run over row blocks of the label matrix B (see
-    `_row_blocks`).  The first forms each block's upper triangle, B[lo:hi]
-    times B[lo:] transposed, and counts every kept pair on both of its rows.
-    From those counts the CSR's arrays are allocated once, at their final
-    size.  The second forms each block's full rows, B[lo:hi] times B
-    transposed, with sorted columns, and writes the kept entries into the
-    block's slice.  Memory is the final CSR plus about one block.  Jaccard
-    is computed the same way for (i, j) and (j, i), so the matrix is
-    symmetric bit for bit.
+    The rows are stored in the order `_locality_order` takes from the
+    label matrix B; R is B with its rows in that order.  Two passes run over
+    row blocks of R (see `_row_blocks`).  The first forms each block's upper
+    triangle, R[lo:hi] times R[lo:] transposed, and counts every kept pair
+    on both of its rows.  From those counts the CSR's arrays are allocated
+    once, at their final size.  The second forms each block's full rows,
+    R[lo:hi] times B (not R) transposed, with sorted columns in compound
+    order, and writes the kept entries into the block's slice.  Memory is
+    the final CSR plus about one block.  Jaccard is computed the same way
+    for (i, j) and (j, i), so the matrix is symmetric bit for bit, and
+    stored row k equals row order[k] of the graph built in compound order.
     """
     if not 0.0 <= threshold <= 1.0:
         raise ValueError(f"threshold must be in [0, 1], got {threshold}")
@@ -167,13 +227,17 @@ def build_similarity_matrix(corpus, source, compound_index=None, threshold=0.0):
 
     bits = corpus.label_index(source).matrix[corpus.positions(compound_index)]
     n = bits.shape[0]
+    order = _locality_order(bits)
     sizes = np.diff(bits.indptr).astype(np.float64)
+    row_sizes = sizes[order]
+    bits_t = bits.T.tocsr()
+    bits = bits[order]  # R from here on
     blocks = list(_row_blocks(bits))
 
     counts = np.zeros(n, dtype=np.int64)
     for lo, hi in blocks:
         upper = _rows(bits, lo, hi) @ _rows(bits, lo, n).T
-        sims, lengths = _jaccard(upper, sizes[lo:hi], sizes[lo:])
+        sims, lengths = _jaccard(upper, row_sizes[lo:hi], row_sizes[lo:])
         rows = np.repeat(np.arange(hi - lo, dtype=upper.indices.dtype), lengths)
         keep = upper.indices > rows
         if threshold > 0.0:
@@ -186,17 +250,17 @@ def build_similarity_matrix(corpus, source, compound_index=None, threshold=0.0):
         del upper, sims, rows, keep
 
     nnz = int(counts.sum())
-    index_dtype = sp.get_index_dtype(maxval=max(nnz, n))
+    index_dtype = np.int32 if max(nnz, n) <= np.iinfo(np.int32).max else np.int64
+    order = order.astype(index_dtype)
     indptr = np.zeros(n + 1, dtype=index_dtype)
     np.cumsum(counts, out=indptr[1:])
     indices = np.empty(nnz, dtype=index_dtype)
     data = np.empty(nnz)
-    bits_t = bits.T.tocsr()
     for lo, hi in blocks:
         full = _rows(bits, lo, hi) @ bits_t
         full.sort_indices()
-        sims, lengths = _jaccard(full, sizes[lo:hi], sizes)
-        diagonal = np.repeat(np.arange(lo, hi, dtype=full.indices.dtype), lengths)
+        sims, lengths = _jaccard(full, row_sizes[lo:hi], sizes)
+        diagonal = np.repeat(order[lo:hi], lengths)
         keep = full.indices != diagonal
         if threshold > 0.0:
             keep &= sims >= threshold
@@ -205,4 +269,4 @@ def build_similarity_matrix(corpus, source, compound_index=None, threshold=0.0):
         # freed before the next block's product is formed
         del full, sims, diagonal, keep
     csr = sp.csr_matrix((data, indices, indptr), shape=(n, n))
-    return SimilarityMatrix._from_csr(compound_index, csr, threshold)
+    return SimilarityMatrix._from_csr(compound_index, csr, threshold, order)

@@ -1,8 +1,15 @@
 import argparse
 import os
+import re
 
 import pytest
 
+from repurpose import (
+    build_interaction_matrix,
+    build_similarity_matrix,
+    load_corpus,
+    load_model,
+)
 from repurpose.cli import main
 
 
@@ -288,12 +295,14 @@ class TestTrainEvaluateRecommend:
                      str(tmp_path / "m.tsv")])
         assert code == 2
 
+    def _evaluate_flags(self, data_dir, out_dir):
+        return ["--data-dir", str(data_dir), "--rank", "4", "--max-iters", "25",
+                "--seed", "3", "--folds", "3", "-k", "3,6",
+                "--sample-size", "50", "--min-train-targets", "1",
+                "--min-test-targets", "1", "--out-dir", str(out_dir)]
+
     def _evaluate(self, data_dir, out_dir, *extra):
-        return main(["evaluate", "--data-dir", str(data_dir),
-                     "--rank", "4", "--max-iters", "25", "--seed", "3",
-                     "--folds", "3", "-k", "3,6",
-                     "--sample-size", "50", "--min-train-targets", "1",
-                     "--min-test-targets", "1", "--out-dir", str(out_dir)]
+        return main(["evaluate"] + self._evaluate_flags(data_dir, out_dir)
                     + list(extra))
 
     def test_evaluate_writes_report_files(self, data_dir, tmp_path, capsys):
@@ -323,6 +332,49 @@ class TestTrainEvaluateRecommend:
         # a tolerance every first iteration meets: all folds converge
         assert self._evaluate(data_dir, tmp_path / "b", "--tol", "10") == 0
         assert "WARNING" not in capsys.readouterr().err
+
+    def test_graph_and_iterations_logged_without_changing_outputs(
+            self, data_dir, tmp_path, capsys):
+        corpus = load_corpus(*(data_dir / f"{name}.tsv" for name in
+                               ("compounds", "labels", "activities")))
+        graph = build_similarity_matrix(
+            corpus, "CF", build_interaction_matrix(corpus, "IC50").compounds)
+        n = graph.n_compounds
+        isolated = sum(not graph.to_csr()[i].nnz for i in range(n))
+        graph_line = (f"INFO similarity graph jaccard:CF: {n} compounds, "
+                      f"{graph.n_pairs} pairs, mean degree "
+                      f"{2 * graph.n_pairs / n:.2f}, {isolated} isolated")
+
+        train = ["train", "--data-dir", str(data_dir), "--rank", "3",
+                 "--max-iters", "4", "--tol", "1e-12", "--similarity",
+                 "jaccard:CF"]
+        assert main(["-v"] + train + ["--out", str(tmp_path / "v.tsv")]) == 0
+        err = capsys.readouterr().err.splitlines()
+        assert [line for line in err if "similarity graph" in line] == [graph_line]
+        steps = [line for line in err if line.startswith("DEBUG iteration")]
+        assert len(steps) == 4
+        assert re.fullmatch(r"DEBUG iteration 1: J \S+", steps[0])
+        trace = load_model(tmp_path / "v.tsv").objective_trace
+        for it, line in enumerate(steps[1:], start=2):
+            want = (trace[it - 1] - trace[it]) / trace[it - 1]
+            value, decrease = re.fullmatch(
+                rf"DEBUG iteration {it}: J (\S+), relative decrease (\S+)",
+                line).groups()
+            assert float(value) == pytest.approx(trace[it], rel=1e-9)
+            assert float(decrease) == pytest.approx(want, rel=1e-2)
+        assert main(["-q"] + train + ["--out", str(tmp_path / "q.tsv")]) == 0
+        assert capsys.readouterr().err == ""
+        assert (tmp_path / "v.tsv").read_bytes() == (tmp_path / "q.tsv").read_bytes()
+
+        variants = ("--similarity", "none", "--similarity", "jaccard:CF",
+                    "--sim-threshold", "0")
+        assert self._evaluate(data_dir, tmp_path / "a", *variants) == 0
+        err = capsys.readouterr().err.splitlines()
+        assert [line for line in err if "similarity graph" in line] == [graph_line]
+        assert main(["-q", "evaluate"] + self._evaluate_flags(
+            data_dir, tmp_path / "b") + list(variants)) == 0
+        capsys.readouterr()
+        assert read_tree(tmp_path / "a") == read_tree(tmp_path / "b")
 
     def test_lambda_zero_equals_similarity_none(self, data_dir, tmp_path,
                                                 capsys):

@@ -20,6 +20,7 @@ from repurpose import (
     save_model,
     train_csnmf,
     train_nmf,
+    similarity,
     transform_activity,
 )
 
@@ -396,6 +397,36 @@ class TestTrainCsnmf:
         model = train_csnmf(interactions, similarity, config)
         assert model.compounds == interactions.compounds
         assert model.regularized
+
+
+    @pytest.mark.parametrize("block_entries", [1, None])
+    def test_row_ordered_graph_trains_as_compound_ordered(
+            self, make_corpus, monkeypatch, block_entries):
+        """The built graph stores its rows out of compound order; training on
+        it must match training on its compound-order CSR bit for bit."""
+        if block_entries is not None:
+            monkeypatch.setattr(similarity, "_BLOCK_ENTRIES", block_entries)
+        rng = np.random.default_rng(46)
+        ids = [f"c{i:02d}" for i in range(60)]
+        label_rows = [(cid, "CF", f"l{v:02d}") for cid in ids
+                      for v in rng.choice(25, size=int(rng.integers(0, 6)),
+                                          replace=False)]
+        activity_rows = [(cid, f"t{t}", "IC50", float(rng.uniform(1, 20_000)))
+                         for cid in ids
+                         for t in rng.choice(10, size=3, replace=False)]
+        corpus = make_corpus(ids, label_rows, activity_rows)
+        X = build_interaction_matrix(corpus, "IC50")
+        S = build_similarity_matrix(corpus, "CF", X.compounds)
+        assert not np.array_equal(S._order, np.arange(len(S._order)))
+        config = TrainConfig(rank=3, lam=0.4, max_iters=15, rel_tol=1e-12,
+                             seed=2)
+        ordered = train_csnmf(X, S, config)
+        plain = train_csnmf(X.matrix, S.to_csr(), config)
+        for name in ("U", "V", "objective_trace"):
+            assert getattr(ordered, name).tobytes() == \
+                getattr(plain, name).tobytes()
+        assert objective(X, ordered.U, ordered.V, S, config.lam) == \
+            objective(X.matrix, ordered.U, ordered.V, S.to_csr(), config.lam)
 
 
 class TestPredict:

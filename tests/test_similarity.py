@@ -177,13 +177,20 @@ class TestLabelMatrixRows:
         ids = corpus.compound_ids()
         unlabeled = tuple(c for c in ids if not corpus.labels_of(c, "CF"))
         assert unlabeled
+        # the rows are stored out of compound order
+        order = build_similarity_matrix(corpus, "CF")._order
+        assert not np.array_equal(order, np.arange(len(ids)))
+
+        # mid: the blocks the build walks over the rows in stored order are
+        # several multi-row ones, and the hub's row alone in one
         mid = 300
+        hub = int(np.flatnonzero(order == ids.index("hub"))[0])
         with monkeypatch.context() as patch:
             patch.setattr(similarity, "_BLOCK_ENTRIES", mid)
-            blocks = list(similarity._row_blocks(corpus.label_index("CF").matrix))
-        # mid: several multi-row blocks, and the hub's row alone in one
+            blocks = list(similarity._row_blocks(
+                corpus.label_index("CF").matrix[order]))
         assert len(blocks) > 1 and max(hi - lo for lo, hi in blocks) > 1
-        assert (ids.index("hub"), ids.index("hub") + 1) in blocks
+        assert (hub, hub + 1) in blocks
         assert corpus.label_index("CF").counts.sum() > mid
 
         rng = np.random.default_rng(42)
@@ -192,14 +199,24 @@ class TestLabelMatrixRows:
         for block_entries in (1, mid, similarity._BLOCK_ENTRIES):
             monkeypatch.setattr(similarity, "_BLOCK_ENTRIES", block_entries)
             for index in indexes:
-                got = build_similarity_matrix(
-                    corpus, "CF", index, threshold).to_csr()
-                want = bit_matrix_similarity(
-                    corpus, "CF", index, threshold).to_csr()
-                for name in ("indptr", "indices", "data"):
-                    got_array, want_array = getattr(got, name), getattr(want, name)
-                    assert got_array.dtype == want_array.dtype
-                    assert got_array.tobytes() == want_array.tobytes()
+                got = build_similarity_matrix(corpus, "CF", index, threshold)
+                want = bit_matrix_similarity(corpus, "CF", index, threshold)
+                assert_same_arrays(got.to_csr(), want.to_csr())
+                assert_same_arrays(got.triplets(), want.triplets())
+                assert got.degrees().tobytes() == want.degrees().tobytes()
+                pairs = rng.choice(len(index), size=(60, 2)) if index else ()
+                for a, b in pairs:
+                    assert got.get(index[a], index[b]) == \
+                        want.get(index[a], index[b])
+
+
+def assert_same_arrays(got, want):
+    """Equal dtypes and bytes for each array of a CSR or a tuple of them."""
+    if not isinstance(got, tuple):
+        got, want = ((m.indptr, m.indices, m.data) for m in (got, want))
+    for got_array, want_array in zip(got, want, strict=True):
+        assert got_array.dtype == want_array.dtype
+        assert got_array.tobytes() == want_array.tobytes()
 
 
 class TestBuildMemory:
