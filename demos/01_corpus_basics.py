@@ -40,7 +40,12 @@ anyrec = corpus.compounds_for_target(target, "IC50", float("inf"))
 print(f"\n{target}: {len(anyrec)} compounds with IC50 records, "
       f"{len(potent)} below 30 nM")
 
-print("\nfirst few aggregated records:")
-for record in list(corpus.iter_activities())[:5]:
-    print(f"  {record.compound} x {record.target}: "
-          f"{record.activity_type} = {record.value_nm:.1f} nM")
+# Each activity type is one compound x target matrix of the most potent
+# (minimum) value per pair; an absent pair is simply not stored.
+print("\nfirst few aggregated records of each activity type:")
+compounds, targets = corpus.compound_ids(), corpus.target_ids()
+for activity_type in corpus.activity_types():
+    records = corpus.activity_matrix(activity_type).tocoo()
+    for i, j, value in list(zip(records.row, records.col, records.data))[:5]:
+        print(f"  {compounds[i]} x {targets[j]}: "
+              f"{activity_type} = {value:.1f} nM")

@@ -22,7 +22,6 @@ from .corpus import (
     CLASSYFIRE,
     MORGAN,
     ONTOCHEM,
-    ActivityRecord,
     Corpus,
     LabelIndex,
     load_corpus,
@@ -71,10 +70,8 @@ from .noir import (
     ScoredLabel,
     build_reference_set,
     consensus,
-    doc_score,
     read_reference_set,
     retrieve,
-    term_score,
     write_reference_set,
     write_retrieval_report,
 )

@@ -9,8 +9,8 @@ its column counts.  NOIR counts, document scores and the Jaccard
 similarity graph all read that matrix; `labels_of` and the label counts are
 views over it.  Activity values are aggregated to the most potent (minimum)
 measurement per (compound, target, activity type) and held as one compound
-x target CSR per type, plus its transpose; relevant sets, known targets,
-record iteration and the interaction matrix all read it.
+x target CSR per type, plus its transpose; relevant sets, known targets
+and the interaction matrix all read it.
 
 Files are read in chunks of about `_CHUNK_BYTES` of text, each split into
 columns.  A column becomes int32 codes in one C-level pass of lookups in a
@@ -26,7 +26,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Iterable
 
 import numpy as np
 import scipy.sparse as sp
@@ -47,16 +46,6 @@ MORGAN = "MORGAN"
 _COMPOUNDS_COLUMNS = ("compound_id", "smiles")
 _LABELS_COLUMNS = ("compound_id", "source", "label")
 _ACTIVITIES_COLUMNS = ("compound_id", "target_id", "activity_type", "value_nM")
-
-
-@dataclass(frozen=True)
-class ActivityRecord:
-    """One aggregated activity measurement; value is in nanomolar."""
-
-    compound: str
-    target: str
-    activity_type: str
-    value_nm: float
 
 
 # Text read from a file per chunk, in characters.
@@ -312,15 +301,6 @@ class Corpus:
         rows follow `compound_ids()`, columns `target_ids()`.  A type the
         corpus lacks has no entries."""
         return self._activity_index.get(activity_type, self._no_activity)
-
-    def iter_activities(self) -> Iterable[ActivityRecord]:
-        """All aggregated activity records, in (compound, target, type) order."""
-        entries = sorted(
-            (i, j, atype, value) for atype, matrix in self._activity_index.items()
-            for i, j, value in zip(*(a.tolist() for a in sp.find(matrix))))
-        for i, j, atype, value in entries:
-            yield ActivityRecord(self._compound_ids[i], self._target_ids[j],
-                                 atype, value)
 
     def compounds_for_target(self, target, activity_type, max_value_nm=math.inf):
         """Compounds with a record for (target, activity_type) strictly below

@@ -136,28 +136,14 @@ class RetrievalResult:
         return iter(self.entries)
 
 
-def term_score(observed, corpus_count, n_relevant, n_corpus):
-    """Score one label: returns (expected, score).
-
-    expected = corpus_count * n_relevant / n_corpus
-    score    = (observed - expected)^2 / expected
-
-    The score is 0 exactly when the observed count matches expectation, and
-    grows for both enriched and depleted labels.
-    """
-    if n_corpus <= 0:
-        raise ValueError("n_corpus must be positive (corpus is empty)")
-    if corpus_count <= 0:
-        raise ValueError("term absent from corpus (corpus count is 0)")
-    if not 1 <= n_relevant <= n_corpus:
-        raise ValueError(
-            f"n_relevant must be in [1, n_corpus], got {n_relevant} of {n_corpus}")
-    if not 0 <= observed <= n_relevant:
-        raise ValueError(
-            f"observed must be in [0, n_relevant], got {observed} of {n_relevant}")
-    expected = corpus_count * n_relevant / n_corpus
-    diff = observed - expected
-    return expected, diff * diff / expected
+def _row_columns(matrix, rows):
+    """(columns, lengths): the column indices of `rows` of a CSR, row after
+    row, and how many each row has."""
+    starts = matrix.indptr[rows]
+    lengths = matrix.indptr[rows + 1] - starts
+    offsets = np.cumsum(lengths) - lengths
+    gather = np.repeat(starts - offsets, lengths) + np.arange(lengths.sum())
+    return matrix.indices[gather], lengths
 
 
 def build_reference_set(corpus, config):
@@ -169,6 +155,13 @@ def build_reference_set(corpus, config):
     more than `noise_cap` compounds corpus-wide; the `set_size` highest
     scoring candidates are kept, ties broken by higher observed count and
     then label name.
+
+    A label with observed count O among N_relevant relevant compounds and
+    corpus count C among N_corpus scores (O - E)^2 / E, with the expected
+    count E = C * N_relevant / N_corpus: 0 when the observed count matches
+    expectation, and growing for enriched and depleted labels alike.  All
+    candidates are scored at once; the integer product C * N_relevant is
+    exact, so each float is the one the scalar formula gives.
     """
     relevant = corpus.compounds_for_target(
         config.target, config.activity_type, config.activity_threshold_nm)
@@ -180,60 +173,47 @@ def build_reference_set(corpus, config):
     n_relevant = len(relevant)
     n_corpus = corpus.n_compounds
     index = corpus.label_index(config.source)
-    observed = np.bincount(index.matrix[corpus.positions(relevant)].indices,
-                           minlength=len(index.labels))
+    columns, _ = _row_columns(index.matrix, corpus.positions(relevant))
+    observed = np.bincount(columns, minlength=len(index.labels))
     candidates = np.flatnonzero((observed >= config.min_relevant_count)
                                 & (index.counts <= config.noise_cap))
-
-    scored = []
-    for j in candidates:
-        count, corpus_count = int(observed[j]), int(index.counts[j])
-        expected, score = term_score(count, corpus_count, n_relevant, n_corpus)
-        scored.append(
-            ScoredLabel(index.labels[j], count, expected, corpus_count, score))
-
-    if not scored:
+    if not candidates.size:
         log.warning(
             "no label passed the min-count/noise-cap filters for target %s "
             "under source %s", config.target, config.source)
         return ReferenceLabelSet(
             config, frozenset(relevant), n_corpus, (), no_candidates=True)
 
-    scored.sort(key=lambda sl: (-sl.score, -sl.observed, sl.label))
-    return ReferenceLabelSet(
-        config, frozenset(relevant), n_corpus, tuple(scored[:config.set_size]))
-
-
-def doc_score(compound_labels, reference_set):
-    """Score one document (compound) against a reference set.
-
-    Returns (score, L, matched) where L is the total number of labels the
-    compound carries under the reference source.  Labels outside the
-    reference set contribute 0 but still count toward L, so promiscuously
-    labeled compounds are diluted.  A compound with no labels scores 0.
-    """
-    labels = frozenset(compound_labels)
-    if not labels:
-        return 0.0, 0, ()
-    score_map = reference_set.score_map()
-    matched = sorted(l for l in labels if l in score_map)
-    total = 0.0
-    for label in matched:
-        total += score_map[label]
-    return total / len(labels), len(labels), tuple(matched)
+    observed = observed[candidates]
+    counts = index.counts[candidates]
+    expected = counts * n_relevant / n_corpus
+    diff = observed - expected
+    scores = diff * diff / expected
+    # columns are in label order, so the stable sort breaks the last ties
+    # by label name
+    kept = np.lexsort((-observed, -scores))[:config.set_size]
+    labels = tuple(map(
+        ScoredLabel, map(index.labels.__getitem__, candidates[kept].tolist()),
+        observed[kept].tolist(), expected[kept].tolist(),
+        counts[kept].tolist(), scores[kept].tolist()))
+    return ReferenceLabelSet(config, frozenset(relevant), n_corpus, labels)
 
 
 def retrieve(corpus, reference_set, exclude=frozenset(), top_n=DEFAULT_TOP_N):
     """Score every corpus compound outside `exclude` and rank the top `top_n`.
 
-    Zero-scoring compounds (nothing matched) are omitted.  Ties are broken
-    by compound id, so output is deterministic.
+    A compound's score is the sum of the reference scores of its labels
+    divided by L, the number of labels it carries under the reference
+    source: labels outside the reference set count toward L, so
+    promiscuously labeled compounds are diluted.  Zero-scoring compounds
+    (unlabeled, unmatched, or matched scores summing to 0) are omitted.
+    Ties are broken by compound id, so output is deterministic.
 
     All documents are scored at once as (B @ w) / L, with B the source's
-    compound x label matrix, w the reference score of each label column and
-    L the row lengths.  The matvec adds a row's terms in column order, which
-    is sorted label order, so each score is the same float `doc_score`
-    gives.
+    compound x label matrix and w the reference score of each label column.
+    The matvec adds a row's terms in column order, which is sorted label
+    order, so each score is the same float as summing one compound's
+    matched scores in label order (`tests/helpers.py::doc_score`).
     """
     if top_n < 1:
         raise ValueError("top_n must be >= 1")
@@ -257,16 +237,17 @@ def retrieve(corpus, reference_set, exclude=frozenset(), top_n=DEFAULT_TOP_N):
     hits = np.flatnonzero(scores != 0.0)
     ranked = hits[np.lexsort((hits, -scores[hits]))][:top_n]
 
-    compounds = corpus.compound_ids()
-    entries = []
-    for row in ranked:
-        lo, hi = matrix.indptr[row], matrix.indptr[row + 1]
-        columns = matrix.indices[lo:hi]
-        matched = tuple(index.labels[j] for j in columns[in_reference[columns]])
-        entries.append(RankedCompound(
-            compounds[row], float(scores[row]), int(n_labels[row]), matched))
-    return RetrievalResult(
-        entries=tuple(entries), excluded=excluded, source=source)
+    # a ranked row has a nonzero score, so L > 0 and its last column is the
+    # end of its slice of the matched labels
+    columns, lengths = _row_columns(matrix, ranked)
+    in_set = in_reference[columns]
+    names = list(map(index.labels.__getitem__, columns[in_set].tolist()))
+    ends = np.cumsum(in_set)[np.cumsum(lengths) - 1].tolist()
+    matched = [tuple(names[lo:hi]) for lo, hi in zip([0] + ends, ends)]
+    entries = tuple(map(
+        RankedCompound, map(corpus.compound_ids().__getitem__, ranked.tolist()),
+        scores[ranked].tolist(), lengths.tolist(), matched))
+    return RetrievalResult(entries=entries, excluded=excluded, source=source)
 
 
 def consensus(*results):
@@ -310,7 +291,7 @@ def read_reference_set(path, target=""):
 
     The returned set carries no relevant-set or corpus-size information
     (those are not part of the file format); it is sufficient for
-    :func:`doc_score` and :func:`retrieve`.
+    :func:`retrieve`.
     """
     labels = []
     source = None

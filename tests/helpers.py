@@ -2,9 +2,11 @@
 
 The oracles work on raw row lists with plain dict/loop arithmetic and never
 go through the package's indexes, so agreement between these functions and
-the library is a genuine two-route check.  `bit_matrix_similarity` is the
-one reference that reads the corpus: it builds the Jaccard graph compound
-by compound from `labels_of`, the route the label matrix replaced.
+the library is a genuine two-route check.  `term_score` and `doc_score`
+are the one-label and one-compound forms of NOIR's array scoring.
+`bit_matrix_similarity` is the one reference that reads the corpus: it
+builds the Jaccard graph compound by compound from `labels_of`, the route
+the label matrix replaced.
 """
 
 import numpy as np
@@ -52,6 +54,52 @@ def oracle_reference(compound_ids, label_rows, activity_rows, *, target,
         ranked.append((label, o, expected, c, score))
     ranked.sort(key=lambda row: (-row[4], -row[1], row[0]))
     return relevant, ranked[:set_size]
+
+
+def term_score(observed, corpus_count, n_relevant, n_corpus):
+    """Score one label: returns (expected, score).
+
+    expected = corpus_count * n_relevant / n_corpus
+    score    = (observed - expected)^2 / expected
+
+    The scalar form of `build_reference_set`'s array scoring, which must
+    give the same floats.  The score is 0 exactly when the observed count
+    matches expectation, and grows for both enriched and depleted labels.
+    """
+    if n_corpus <= 0:
+        raise ValueError("n_corpus must be positive (corpus is empty)")
+    if corpus_count <= 0:
+        raise ValueError("term absent from corpus (corpus count is 0)")
+    if not 1 <= n_relevant <= n_corpus:
+        raise ValueError(
+            f"n_relevant must be in [1, n_corpus], got {n_relevant} of {n_corpus}")
+    if not 0 <= observed <= n_relevant:
+        raise ValueError(
+            f"observed must be in [0, n_relevant], got {observed} of {n_relevant}")
+    expected = corpus_count * n_relevant / n_corpus
+    diff = observed - expected
+    return expected, diff * diff / expected
+
+
+def doc_score(compound_labels, reference_set):
+    """Score one document (compound) against a reference set.
+
+    Returns (score, L, matched) where L is the total number of labels the
+    compound carries under the reference source.  Labels outside the
+    reference set contribute 0 but still count toward L, so promiscuously
+    labeled compounds are diluted.  A compound with no labels scores 0.
+    The per-compound form of `retrieve`, which must equal it float for
+    float.
+    """
+    labels = frozenset(compound_labels)
+    if not labels:
+        return 0.0, 0, ()
+    score_map = reference_set.score_map()
+    matched = sorted(l for l in labels if l in score_map)
+    total = 0.0
+    for label in matched:
+        total += score_map[label]
+    return total / len(labels), len(labels), tuple(matched)
 
 
 def oracle_doc_scores(compound_ids, label_rows, *, source, ref_scores,

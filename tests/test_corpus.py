@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from helpers import write_corpus_files
 
@@ -533,9 +534,12 @@ class TestIndexesMatchRawRows:
         for cid, tid, atype, value in activity_rows:
             raw[cid, tid, atype] = min(value, raw.get((cid, tid, atype), math.inf))
         assert len(raw) < len(activity_rows)  # some triples repeat
-        assert [(r.compound, r.target, r.activity_type, r.value_nm)
-                for r in corpus.iter_activities()] \
-            == [(*key, raw[key]) for key in sorted(raw)]
+        stored = sorted(
+            (corpus.compound_ids()[i], corpus.target_ids()[j], atype, value)
+            for atype in corpus.activity_types()
+            for i, j, value in zip(*(a.tolist() for a in sp.find(
+                corpus.activity_matrix(atype)))))
+        assert stored == [(*key, raw[key]) for key in sorted(raw)]
         assert corpus.n_activity_records == len(raw)
         types = ("EC50", "IC50", "Ki")
         assert corpus.activity_types() == types
@@ -559,11 +563,13 @@ class TestIndexesMatchRawRows:
 
     def test_targets_of_matches_a_scan(self, rows):
         corpus = Corpus.build(*rows)
-        records = list(corpus.iter_activities())
+        records = [(corpus.compound_ids()[i], corpus.target_ids()[j], atype)
+                   for atype in corpus.activity_types()
+                   for i, j in zip(*corpus.activity_matrix(atype).nonzero())]
         for cid in corpus.compound_ids():
             for activity_type in (None, *corpus.activity_types()):
                 assert corpus.targets_of(cid, activity_type) == {
-                    r.target for r in records
-                    if r.compound == cid and activity_type in (None, r.activity_type)}
+                    target for compound, target, atype in records
+                    if compound == cid and activity_type in (None, atype)}
         with pytest.raises(UnknownCompoundError):
             corpus.targets_of("ghost")

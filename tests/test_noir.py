@@ -2,26 +2,28 @@ import numpy as np
 import pytest
 
 from helpers import (
+    doc_score,
     oracle_doc_scores,
     oracle_ranking,
     oracle_reference,
     random_label_corpus,
+    term_score,
 )
 
 from repurpose import (
     Corpus,
     FormatError,
     NoRelevantCompoundsError,
+    RankedCompound,
     ReferenceLabelSet,
     ReferenceSetConfig,
+    RetrievalResult,
     ScoredLabel,
     UnknownSourceError,
     build_reference_set,
     consensus,
-    doc_score,
     read_reference_set,
     retrieve,
-    term_score,
     write_reference_set,
     write_retrieval_report,
 )
@@ -182,6 +184,126 @@ class TestBuildReferenceSet:
         assert config.noise_cap == 200_000
         assert config.min_relevant_count == 2
         assert config.set_size == 20
+
+
+def scored_by_term_score(label_rows, source, relevant, n_corpus, config):
+    """The reference labels of `config` scored one label at a time with
+    `term_score`, from raw rows, ranked and cut to `config.set_size`."""
+    carriers = {}
+    for cid, src, label in label_rows:
+        if src == source:
+            carriers.setdefault(label, set()).add(cid)
+    scored = []
+    for label, who in carriers.items():
+        observed = len(who & relevant)
+        if observed >= config.min_relevant_count and len(who) <= config.noise_cap:
+            expected, score = term_score(observed, len(who), len(relevant),
+                                         n_corpus)
+            scored.append(ScoredLabel(label, observed, expected, len(who), score))
+    scored.sort(key=lambda sl: (-sl.score, -sl.observed, sl.label))
+    return tuple(scored[:config.set_size])
+
+
+class TestReferenceSetMatchesTermScore:
+    """Array scoring of the candidates gives the very floats, order and
+    sets that scoring each label with `term_score` gives."""
+
+    def test_random_corpora(self):
+        rng = np.random.default_rng(2718)
+        seen = dict.fromkeys(("min_count", "noise_cap", "empty", "score_tie",
+                              "observed_tie"), 0)
+        for _ in range(60):
+            n_corpus = 2 * int(rng.integers(3, 20))
+            ids = [f"c{i:02d}" for i in range(n_corpus)]
+            # names whose string order differs from their numeric order
+            vocab = [f"L{v}" for v in range(int(rng.integers(3, 14)))]
+            density = rng.uniform(0.2, 0.8)
+            label_rows = [(cid, source, label)
+                          for cid in ids for source in ("CF", "OC")
+                          for label in vocab if rng.random() < density]
+            # half the corpus is relevant, so E = C / 2 and labels of one
+            # corpus count C score alike at O = E + d and O = E - d
+            potency = rng.permutation([5.0, 50.0] * (n_corpus // 2))
+            activity_rows = [(cid, "T", "EC50", float(value))
+                             for cid, value in zip(ids, potency)]
+            relevant = {cid for cid, value in zip(ids, potency) if value < 30.0}
+            corpus = Corpus.build(ids, label_rows, activity_rows)
+            config = ReferenceSetConfig(
+                target="T", source=str(rng.choice(["CF", "OC"])),
+                min_relevant_count=int(rng.integers(2, 5)),
+                noise_cap=int(rng.integers(n_corpus // 4, n_corpus + 2)),
+                set_size=int(rng.integers(1, len(vocab) + 2)))
+
+            want = scored_by_term_score(label_rows, config.source, relevant,
+                                        n_corpus, config)
+            assert build_reference_set(corpus, config) == ReferenceLabelSet(
+                config, frozenset(relevant), n_corpus, want,
+                no_candidates=not want)
+
+            carriers = [{c for c, src, l in label_rows
+                         if src == config.source and l == label}
+                        for label in vocab]
+            seen["min_count"] += any(
+                0 < len(who & relevant) < config.min_relevant_count
+                for who in carriers)
+            seen["noise_cap"] += any(
+                len(who & relevant) >= config.min_relevant_count
+                and len(who) > config.noise_cap for who in carriers)
+            seen["empty"] += not want
+            for a, b in zip(want, want[1:]):
+                if a.score == b.score:
+                    seen["observed_tie" if a.observed == b.observed
+                         else "score_tie"] += 1
+        assert all(seen.values()), seen
+
+
+class TestRetrieveEdgeCases:
+    """Retrieval pinned with `==` where the hit assembly has corners."""
+
+    # b {X} = 3.0; a {X, Y} = 1.5 / 2; c {Y, Z} = -1.5 / 2; g {V, X, Y}
+    # cancels to 0.0; e matches only a zero score, f nothing, d no label
+    LABELS = {"a": "XY", "b": "X", "c": "YZ", "d": "", "e": "Z", "f": "W",
+              "g": "VXY"}
+    SCORES = {"V": -1.5, "X": 3.0, "Y": -1.5, "Z": 0.0, "ghost": 5.0}
+    HITS = (RankedCompound("b", 3.0, 1, ("X",)),
+            RankedCompound("a", 0.75, 2, ("X", "Y")),
+            RankedCompound("c", -0.75, 2, ("Y", "Z")))
+
+    @pytest.fixture
+    def corpus(self):
+        return Corpus.build(
+            sorted(self.LABELS),
+            [(cid, "CF", label) for cid, letters in self.LABELS.items()
+             for label in letters])
+
+    def test_zero_negative_and_unlabeled_with_top_n_above_the_hits(self, corpus):
+        reference = make_reference("CF", self.SCORES)
+        result = retrieve(corpus, reference, top_n=100)
+        assert result == RetrievalResult(self.HITS, frozenset(), "CF")
+        for top_n in (1, 2, 3, 4):
+            assert retrieve(corpus, reference, top_n=top_n).entries \
+                == self.HITS[:top_n]
+        assert retrieve(corpus, reference, exclude={"b", "ghost"}) \
+            == RetrievalResult(self.HITS[1:], frozenset({"b"}), "CF")
+
+    def test_edited_reference_of_labels_absent_from_the_corpus(
+            self, corpus, tmp_path):
+        path = tmp_path / "reference.tsv"
+        write_reference_set(
+            make_reference("CF", {"ghost": 5.0, "phantom": -1.0}), path)
+        result = retrieve(corpus, read_reference_set(path), exclude={"a"})
+        assert result == RetrievalResult((), frozenset({"a"}), "CF")
+
+    @pytest.mark.parametrize("scores, exclude", [
+        ({"Z": 0.0, "W": 0.0}, ()),
+        ({"V": -1.5, "X": 3.0, "Y": -1.5}, {"a", "b", "c"}),
+        ({"X": 1.0}, {"a", "b", "g"}),
+    ], ids=["zero-scores", "every-hit-excluded", "every-carrier-excluded"])
+    def test_no_hits_gives_empty_entries(self, corpus, scores, exclude):
+        result = retrieve(corpus, make_reference("CF", scores),
+                          exclude=exclude)
+        assert result.entries == ()
+        assert result.excluded == frozenset(exclude)
 
 
 class TestDocScore:

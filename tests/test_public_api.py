@@ -33,9 +33,6 @@ UNCALLED_ALLOWED = {
     "factorization.objective":
         "the pairwise reference the trainer's Laplacian-form objective is "
         "checked against",
-    "noir.doc_score":
-        "the per-compound document score that batched retrieval must equal "
-        "float for float",
 }
 
 BUILTIN_ATTRIBUTES = frozenset().union(

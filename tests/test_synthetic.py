@@ -61,9 +61,14 @@ class TestGeneration:
     def test_activities_stay_in_cluster_without_noise(self, tmp_path):
         paths, truth = generate_synthetic(SMALL, tmp_path, seed=5)
         corpus = load_corpus(paths.compounds, paths.labels, paths.activities)
-        for record in corpus.iter_activities():
-            assert truth.compound_cluster[record.compound] \
-                == truth.target_cluster[record.target]
+        compounds, targets = corpus.compound_ids(), corpus.target_ids()
+        pairs = [(compounds[i], targets[j])
+                 for atype in corpus.activity_types()
+                 for i, j in zip(*corpus.activity_matrix(atype).nonzero())]
+        assert pairs
+        for compound, target in pairs:
+            assert truth.compound_cluster[compound] \
+                == truth.target_cluster[target]
 
     def test_morgan_source_uses_integer_bits(self, tmp_path):
         spec = SyntheticSpec(n_compounds=12, n_targets=4, n_clusters=2,
