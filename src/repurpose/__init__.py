@@ -56,7 +56,6 @@ from .factorization import (
     TrainConfig,
     build_interaction_matrix,
     load_model,
-    objective,
     save_model,
     train_csnmf,
     train_nmf,

@@ -292,16 +292,15 @@ def cmd_evaluate(args):
     reports = []
     seen = set()
     for source in sources:
-        if source is None or args.lam == 0:
-            similarity, label = None, "NMF"
-        else:
-            similarity = _similarity_graph(corpus, source, interactions,
-                                           args.sim_threshold)
-            label = f"CS-NMF:{source}"
+        regularized = source is not None and args.lam != 0
+        label = f"CS-NMF:{source}" if regularized else "NMF"
         if label in seen:
             log.warning("variant %s already evaluated; skipping duplicate", label)
             continue
         seen.add(label)
+        similarity = (_similarity_graph(corpus, source, interactions,
+                                        args.sim_threshold)
+                      if regularized else None)
         report = cross_validate(
             interactions, config, S=similarity, n_folds=args.folds,
             k_list=k_list, sample_size=args.sample_size,

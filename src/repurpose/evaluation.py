@@ -1,10 +1,11 @@
 """Cross-validation protocol: fold splitting, RMSE, and recall-at-k.
 
-Folds partition the stored entries of the interaction matrix; training
-matrices zero the held-out entries.  Recall-at-k samples test compounds
-that have enough targets on both sides of the split, ranks all targets for
-each, and reports mean and population standard deviation of the per-
-compound recall.  Fold runs are pooled for the aggregate report.
+A fold is a mask over the stored entries of the interaction matrix's
+canonical CSR; it cuts both the held-out CSR and the training matrix from
+X.  Recall-at-k samples test compounds that have enough targets on both
+sides of the split, ranks all targets for each, and reports mean and
+population standard deviation of the per-compound recall.  Fold runs are
+pooled for the aggregate report.
 """
 
 from __future__ import annotations
@@ -23,69 +24,69 @@ from .factorization import (
 )
 
 
-@dataclass(frozen=True)
+def _canonical_csr(X):
+    """X as a CSR with sorted columns and no duplicates (copied if needed)."""
+    csr = _as_csr(X)
+    return csr if csr.has_canonical_format else csr.tocoo().tocsr()
+
+
+def _masked_entries(X, mask):
+    """X's canonical CSR cut to the stored entries under a boolean mask."""
+    csr = _canonical_csr(X)
+    indptr = np.concatenate(([0], np.cumsum(mask)))[csr.indptr]
+    return sp.csr_matrix(
+        (csr.data[mask], csr.indices[mask], indptr.astype(csr.indptr.dtype)),
+        shape=csr.shape)
+
+
+@dataclass(frozen=True, eq=False)
 class FoldSplit:
     """Disjoint random partition of a matrix's stored entries.
 
-    Each fold is a tuple of (row, col, value) triples; together they cover
-    every stored entry exactly once.
+    `fold[t]` is the fold id, in [0, n_folds), of the t-th stored entry of
+    the matrix's canonical CSR; fold f's held-out set is `fold == f`.
     """
 
     n_folds: int
     seed: int
-    folds: tuple[tuple[tuple[int, int, float], ...], ...]
+    fold: np.ndarray
 
 
 def split_folds(X, n_folds=5, seed=0):
     """Randomly partition the stored entries of X into `n_folds` folds."""
     if n_folds < 2:
         raise ValueError("n_folds must be at least 2")
-    coo = _as_csr(X).tocoo()
-    order = np.lexsort((coo.col, coo.row))
-    rows, cols, vals = coo.row[order], coo.col[order], coo.data[order]
-    nnz = len(vals)
+    nnz = _canonical_csr(X).nnz
     if nnz < n_folds:
         raise EvalError(f"need at least {n_folds} stored entries, have {nnz}")
     rng = np.random.default_rng(seed)
-    perm = rng.permutation(nnz)
-    folds = []
-    for chunk in np.array_split(perm, n_folds):
-        chunk = np.sort(chunk)
-        folds.append(tuple(
-            (int(rows[t]), int(cols[t]), float(vals[t])) for t in chunk))
-    return FoldSplit(n_folds=n_folds, seed=seed, folds=tuple(folds))
+    fold = np.empty(nnz, dtype=np.int64)
+    for f, chunk in enumerate(np.array_split(rng.permutation(nnz), n_folds)):
+        fold[chunk] = f
+    return FoldSplit(n_folds=n_folds, seed=seed, fold=fold)
 
 
-def training_matrix(X, held_out):
-    """Copy of X with the held-out entries removed (set to 0).
+def training_matrix(X, held_out_mask):
+    """Copy of X without the stored entries that the boolean array
+    `held_out_mask` marks, over X's canonical CSR as `FoldSplit.fold` is.
 
     Returns the same container kind as X: an InteractionMatrix stays an
     InteractionMatrix (indexes preserved), anything else becomes CSR.
     """
-    csr = _as_csr(X)
-    coo = csr.tocoo()
-    m = csr.shape[1]
-    keys = coo.row.astype(np.int64) * m + coo.col
-    drop = np.asarray([i * m + j for i, j, _ in held_out], dtype=np.int64)
-    keep = ~np.isin(keys, drop)
-    trimmed = sp.csr_matrix(
-        (coo.data[keep], (coo.row[keep], coo.col[keep])), shape=csr.shape)
+    trimmed = _masked_entries(X, ~held_out_mask)
     if isinstance(X, InteractionMatrix):
         return InteractionMatrix(X.compounds, X.targets, trimmed)
     return trimmed
 
 
 def rmse(model, held_out):
-    """Root mean square error of the model on held-out (row, col, value)
-    triples.  Evaluated only on the given known entries, never on zeros."""
-    held_out = list(held_out)
-    if not held_out:
+    """Root mean square error of the model on the stored entries of the
+    held-out matrix, in stored order; never on its zeros."""
+    coo = _as_csr(held_out).tocoo()
+    if not coo.nnz:
         raise EvalError("held-out set is empty")
-    rows = np.asarray([t[0] for t in held_out], dtype=np.int64)
-    cols = np.asarray([t[1] for t in held_out], dtype=np.int64)
-    vals = np.asarray([t[2] for t in held_out], dtype=np.float64)
-    preds = np.einsum("ij,ij->i", model.U[rows], model.V[cols])
-    return float(np.sqrt(np.mean((preds - vals) ** 2)))
+    preds = np.einsum("ij,ij->i", model.U[coo.row], model.V[coo.col])
+    return float(np.sqrt(np.mean((preds - coo.data) ** 2)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,19 +102,9 @@ class RecallResult:
         return len(self.sampled_rows)
 
 
-def recall_at_k(model, train_X, test_triples, k_list=(30, 50, 100),
-                sample_size=10_000, min_train_targets=3, min_test_targets=3,
-                seed=0, exclude_train_targets=True):
-    """Recall of held-out targets among each sampled compound's top-k.
-
-    Eligible compounds have at least `min_train_targets` targets in the
-    training matrix and `min_test_targets` in the held-out triples; up to
-    `sample_size` of them are drawn without replacement.  For each, every
-    target is scored; by default the compound's training targets are pushed
-    out of the ranking (disable via `exclude_train_targets` to rank them
-    too).  Recall at k is the fraction of the compound's held-out targets
-    ranked in the top k.
-    """
+def _recall_arguments(k_list, sample_size, min_train_targets,
+                      min_test_targets):
+    """Validate recall-at-k's arguments; returns k_list as a tuple of ints."""
     k_list = tuple(int(k) for k in k_list)
     if not k_list or min(k_list) < 1:
         raise ValueError("every k must be >= 1")
@@ -121,25 +112,35 @@ def recall_at_k(model, train_X, test_triples, k_list=(30, 50, 100),
         raise ValueError("target minimums must be >= 1")
     if sample_size < 1:
         raise ValueError(f"sample_size must be >= 1, got {sample_size}")
+    return k_list
 
-    train_csr = _as_csr(train_X)
-    test_by_row = {}
-    for i, j, _ in test_triples:
-        test_by_row.setdefault(int(i), set()).add(int(j))
 
-    eligible = []
-    for i in sorted(test_by_row):
-        n_train = train_csr.indptr[i + 1] - train_csr.indptr[i]
-        if n_train >= min_train_targets and len(test_by_row[i]) >= min_test_targets:
-            eligible.append(i)
-    if not eligible:
+def recall_at_k(model, train_X, test_X, k_list=(30, 50, 100),
+                sample_size=10_000, min_train_targets=3, min_test_targets=3,
+                seed=0, exclude_train_targets=True):
+    """Recall of held-out targets among each sampled compound's top-k.
+
+    Eligible compounds have at least `min_train_targets` targets stored in
+    the training matrix and `min_test_targets` in the held-out matrix; up
+    to `sample_size` of them are drawn without replacement.  For each,
+    every target is scored; by default the compound's training targets are
+    pushed out of the ranking (disable via `exclude_train_targets` to rank
+    them too).  Recall at k is the fraction of the compound's held-out
+    targets ranked in the top k.
+    """
+    k_list = _recall_arguments(k_list, sample_size, min_train_targets,
+                               min_test_targets)
+    train_csr, test_csr = _as_csr(train_X), _as_csr(test_X)
+    eligible = np.flatnonzero((np.diff(train_csr.indptr) >= min_train_targets)
+                              & (np.diff(test_csr.indptr) >= min_test_targets))
+    if not len(eligible):
         raise EvalError(
             f"no test compound has >= {min_train_targets} training targets "
             f"and >= {min_test_targets} held-out targets")
 
     rng = np.random.default_rng(seed)
     take = min(sample_size, len(eligible))
-    sampled = rng.choice(np.asarray(eligible), size=take, replace=False)
+    sampled = rng.choice(eligible, size=take, replace=False)
 
     recalls = {k: np.empty(take) for k in k_list}
     n_targets = model.V.shape[0]
@@ -147,15 +148,14 @@ def recall_at_k(model, train_X, test_triples, k_list=(30, 50, 100),
     for at, row in enumerate(sampled):
         scores = model.score_targets(int(row))
         if exclude_train_targets:
-            scores = scores.copy()
             lo, hi = train_csr.indptr[row], train_csr.indptr[row + 1]
             scores[train_csr.indices[lo:hi]] = -np.inf
         order = np.argsort(-scores, kind="stable")
         ranks[order] = np.arange(n_targets)
-        test_cols = np.fromiter(test_by_row[int(row)], dtype=np.int64)
-        test_ranks = ranks[test_cols]
+        test_ranks = ranks[test_csr.indices[
+            test_csr.indptr[row]:test_csr.indptr[row + 1]]]
         for k in k_list:
-            recalls[k][at] = np.count_nonzero(test_ranks < k) / len(test_cols)
+            recalls[k][at] = np.count_nonzero(test_ranks < k) / len(test_ranks)
 
     return RecallResult(
         k_list=k_list, recalls=recalls,
@@ -190,19 +190,20 @@ def cross_validate(X, config, S=None, n_folds=5, k_list=(30, 50, 100),
     `config.lam` > 0, plain NMF otherwise.  Per-compound recalls are pooled
     across folds before the mean/std summary.
     """
-    if sample_size < 1:
-        # checked again in recall_at_k, but before any fold is trained here
-        raise ValueError(f"sample_size must be >= 1, got {sample_size}")
+    k_list = _recall_arguments(k_list, sample_size, min_train_targets,
+                               min_test_targets)
     split = split_folds(X, n_folds=n_folds, seed=seed)
     regularized = S is not None and config.lam > 0
     if label is None:
         label = "CS-NMF" if regularized else "NMF"
 
     fold_rmse, fold_converged = [], []
-    pooled = {int(k): [] for k in k_list}
+    pooled = {k: [] for k in k_list}
     n_sampled = 0
-    for fold_index, held_out in enumerate(split.folds):
-        train_X = training_matrix(X, held_out)
+    for fold_index in range(split.n_folds):
+        held_out_mask = split.fold == fold_index
+        train_X = training_matrix(X, held_out_mask)
+        held_out = _masked_entries(X, held_out_mask)
         if regularized:
             model = train_csnmf(train_X, S, config)
         else:

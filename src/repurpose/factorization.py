@@ -5,7 +5,8 @@ Two trainers share one multiplicative-update core: plain alternating
 updates, and a similarity-regularized variant whose update pulls the latent
 rows of similar compounds toward each other; with a zero weight the two
 give bit-identical iterates.  Every iteration records the objective, read off
-the updates' own products; :func:`objective` is the pairwise reference.
+the updates' own products; `tests/helpers.py::objective` sums the penalty
+pair by pair as its reference.
 """
 
 from __future__ import annotations
@@ -28,10 +29,6 @@ from .similarity import SimilarityMatrix
 
 WEAK_INTERACTION_VALUE = 1.0
 _LINEAR_RANGE_MAX_NM = 10_000.0
-
-# Pairwise-penalty evaluation is chunked to bound peak memory on large
-# similarity graphs.
-_PAIR_CHUNK = 200_000
 
 
 def transform_activity(value_nm):
@@ -196,44 +193,6 @@ def _objective_from_products(x_sq, U, XV, gram_u, gram_v, lam=0.0,
     if SU is not None:
         spread = float(degrees @ np.einsum("ij,ij->i", U, U))
         value += 0.5 * lam * (spread - float(np.sum(U * SU)))
-    return value
-
-
-def _penalty_term(S_csr, U, lam):
-    """(lam/2) * sum over stored pairs i < j of S_ij ||u_i - u_j||^2."""
-    upper = sp.triu(S_csr, k=1).tocoo()
-    rows, cols, vals = upper.row, upper.col, upper.data
-    total = 0.0
-    for lo in range(0, len(vals), _PAIR_CHUNK):
-        hi = lo + _PAIR_CHUNK
-        diff = U[rows[lo:hi]] - U[cols[lo:hi]]
-        total += float(np.sum(vals[lo:hi] * np.einsum("ij,ij->i", diff, diff)))
-    return 0.5 * lam * total
-
-
-def objective(X, U, V, S=None, lam=0.0):
-    """Training objective.
-
-    J = 0.5 ||X - U V^T||_F^2 + (lam/2) * sum_{i<j} S_ij ||u_i - u_j||^2
-
-    Unstored entries of X count as zeros (dense Frobenius semantics); the
-    penalty sums each unordered compound pair once, which makes its
-    gradient with respect to U exactly lam * (D - S) U.  Summed pair by
-    pair, it is the reference for the trainer's Laplacian-form trace.
-    """
-    X_csr = _as_csr(X)
-    U = np.asarray(U, dtype=np.float64)
-    V = np.asarray(V, dtype=np.float64)
-    n, m = X_csr.shape
-    if U.ndim != 2 or V.ndim != 2 or U.shape[0] != n or V.shape[0] != m \
-            or U.shape[1] != V.shape[1]:
-        raise ValueError(
-            f"shape mismatch: X {X_csr.shape}, U {U.shape}, V {V.shape}")
-    value = _objective_from_products(
-        float((X_csr.data ** 2).sum()), U, X_csr @ V, U.T @ U, V.T @ V)
-    if S is not None and lam != 0.0:
-        graph = _similarity_graph(S, X, _index_tuples(X, n, m)[0])
-        value += _penalty_term(graph.to_csr(), U, lam)
     return value
 
 

@@ -118,12 +118,6 @@ class SimilarityMatrix:
                          counts)
         return rows, csr.indices[at], csr.data[at]
 
-    def to_csr(self):
-        """A copy of the graph as a symmetric CSR with rows in compound order
-        (both triangles, sorted indices, zero diagonal).  It is rebuilt on
-        every call, at the size of the stored graph."""
-        return self._csr[self._row]
-
     def _product(self, U, out):
         """S U in compound order, written into `out` and returned.  Each row
         sums the same terms in the same order as a product with the

@@ -6,13 +6,28 @@ the library is a genuine two-route check.  `term_score` and `doc_score`
 are the one-label and one-compound forms of NOIR's array scoring.
 `bit_matrix_similarity` is the one reference that reads the corpus: it
 builds the Jaccard graph compound by compound from `labels_of`, the route
-the label matrix replaced.
+the label matrix replaced.  `objective` sums the similarity penalty pair by
+pair, the reference for the trainer's Laplacian-form trace, over the
+graph's `compound_order_csr`.
+`triple_folds` and `triple_training_matrix` hold each cross-validation fold
+as (row, col, value) triples, the reference for the fold-id array and the
+masks cut from it.
 """
 
 import numpy as np
 import scipy.sparse as sp
 
-from repurpose import SimilarityMatrix
+from repurpose import EvalError, SimilarityMatrix
+from repurpose.factorization import (
+    _as_csr,
+    _index_tuples,
+    _objective_from_products,
+    _similarity_graph,
+)
+
+# Pairwise-penalty evaluation is chunked to bound peak memory on large
+# similarity graphs.
+_PAIR_CHUNK = 200_000
 
 
 def oracle_reference(compound_ids, label_rows, activity_rows, *, target,
@@ -224,6 +239,82 @@ def oracle_interaction_matrix(activity_rows, activity_types):
          (np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64))),
         shape=(len(compounds), len(targets)))
     return compounds, targets, matrix
+
+
+def _penalty_term(S_csr, U, lam):
+    """(lam/2) * sum over stored pairs i < j of S_ij ||u_i - u_j||^2."""
+    upper = sp.triu(S_csr, k=1).tocoo()
+    rows, cols, vals = upper.row, upper.col, upper.data
+    total = 0.0
+    for lo in range(0, len(vals), _PAIR_CHUNK):
+        hi = lo + _PAIR_CHUNK
+        diff = U[rows[lo:hi]] - U[cols[lo:hi]]
+        total += float(np.sum(vals[lo:hi] * np.einsum("ij,ij->i", diff, diff)))
+    return 0.5 * lam * total
+
+
+def objective(X, U, V, S=None, lam=0.0):
+    """Training objective.
+
+    J = 0.5 ||X - U V^T||_F^2 + (lam/2) * sum_{i<j} S_ij ||u_i - u_j||^2
+
+    Unstored entries of X count as zeros (dense Frobenius semantics); the
+    penalty sums each unordered compound pair once, which makes its
+    gradient with respect to U exactly lam * (D - S) U.  Summed pair by
+    pair, it is the reference for the trainer's Laplacian-form trace.
+    """
+    X_csr = _as_csr(X)
+    U = np.asarray(U, dtype=np.float64)
+    V = np.asarray(V, dtype=np.float64)
+    n, m = X_csr.shape
+    if U.ndim != 2 or V.ndim != 2 or U.shape[0] != n or V.shape[0] != m \
+            or U.shape[1] != V.shape[1]:
+        raise ValueError(
+            f"shape mismatch: X {X_csr.shape}, U {U.shape}, V {V.shape}")
+    value = _objective_from_products(
+        float((X_csr.data ** 2).sum()), U, X_csr @ V, U.T @ U, V.T @ V)
+    if S is not None and lam != 0.0:
+        graph = _similarity_graph(S, X, _index_tuples(X, n, m)[0])
+        value += _penalty_term(compound_order_csr(graph), U, lam)
+    return value
+
+
+def compound_order_csr(graph):
+    """A SimilarityMatrix as a symmetric CSR with rows in compound order
+    (both triangles, sorted indices, zero diagonal), built from its stored
+    rows."""
+    return graph._csr[graph._row]
+
+
+def triple_folds(X, n_folds, seed):
+    """The folds of `split_folds(X, n_folds, seed)` as tuples of (row, col,
+    value) triples, each in row-major order."""
+    coo = _as_csr(X).tocoo()
+    order = np.lexsort((coo.col, coo.row))
+    rows, cols, vals = coo.row[order], coo.col[order], coo.data[order]
+    nnz = len(vals)
+    if nnz < n_folds:
+        raise EvalError(f"need at least {n_folds} stored entries, have {nnz}")
+    perm = np.random.default_rng(seed).permutation(nnz)
+    folds = []
+    for chunk in np.array_split(perm, n_folds):
+        chunk = np.sort(chunk)
+        folds.append(tuple(
+            (int(rows[t]), int(cols[t]), float(vals[t])) for t in chunk))
+    return tuple(folds)
+
+
+def triple_training_matrix(X, held_out):
+    """CSR of X without the (row, col) pairs of the held-out triples, built
+    afresh from the kept entries."""
+    csr = _as_csr(X)
+    coo = csr.tocoo()
+    m = csr.shape[1]
+    keys = coo.row.astype(np.int64) * m + coo.col
+    drop = np.asarray([i * m + j for i, j, _ in held_out], dtype=np.int64)
+    keep = ~np.isin(keys, drop)
+    return sp.csr_matrix(
+        (coo.data[keep], (coo.row[keep], coo.col[keep])), shape=csr.shape)
 
 
 def write_corpus_files(directory, compounds, label_rows, activity_rows):

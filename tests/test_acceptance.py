@@ -10,7 +10,12 @@ import time
 import numpy as np
 import pytest
 
-from helpers import oracle_doc_scores, oracle_reference, random_label_corpus
+from helpers import (
+    objective,
+    oracle_doc_scores,
+    oracle_reference,
+    random_label_corpus,
+)
 
 from repurpose import (
     Corpus,
@@ -24,7 +29,6 @@ from repurpose import (
     cross_validate,
     generate_synthetic,
     load_corpus,
-    objective,
     retrieve,
     train_csnmf,
     train_nmf,

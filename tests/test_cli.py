@@ -4,12 +4,15 @@ import re
 
 import pytest
 
+from helpers import compound_order_csr
+
 from repurpose import (
     build_interaction_matrix,
     build_similarity_matrix,
     load_corpus,
     load_model,
 )
+import repurpose.cli
 from repurpose.cli import main
 
 
@@ -319,6 +322,30 @@ class TestTrainEvaluateRecommend:
         assert header == "metric\tNMF\tCS-NMF:CF"
         assert "RMSE" in out and "Recall at 3" in out
 
+    def test_duplicate_variant_skipped_before_its_graph_is_built(
+            self, data_dir, tmp_path, capsys, monkeypatch):
+        assert self._evaluate(data_dir, tmp_path / "once",
+                              "--similarity", "jaccard:CF") == 0
+        capsys.readouterr()
+        sources = []
+
+        def counted(corpus, source, *args, **kwargs):
+            sources.append(source)
+            return build_similarity_matrix(corpus, source, *args, **kwargs)
+
+        monkeypatch.setattr(repurpose.cli, "build_similarity_matrix", counted)
+        assert self._evaluate(data_dir, tmp_path / "twice",
+                              "--similarity", "jaccard:CF",
+                              "--similarity", "jaccard:CF") == 0
+        assert sources == ["CF"]
+        assert "WARNING variant CS-NMF:CF already evaluated; skipping " \
+            "duplicate" in capsys.readouterr().err.splitlines()
+        names = sorted(os.listdir(tmp_path / "once"))
+        assert names == sorted(os.listdir(tmp_path / "twice"))
+        for name in names:
+            assert (tmp_path / "once" / name).read_bytes() == \
+                (tmp_path / "twice" / name).read_bytes()
+
     def test_unconverged_folds_logged_once_per_variant(self, data_dir,
                                                        tmp_path, capsys):
         assert self._evaluate(data_dir, tmp_path / "a", "--similarity", "none",
@@ -340,7 +367,7 @@ class TestTrainEvaluateRecommend:
         graph = build_similarity_matrix(
             corpus, "CF", build_interaction_matrix(corpus, "IC50").compounds)
         n = graph.n_compounds
-        isolated = sum(not graph.to_csr()[i].nnz for i in range(n))
+        isolated = sum(not compound_order_csr(graph)[i].nnz for i in range(n))
         graph_line = (f"INFO similarity graph jaccard:CF: {n} compounds, "
                       f"{graph.n_pairs} pairs, mean degree "
                       f"{2 * graph.n_pairs / n:.2f}, {isolated} isolated")

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from helpers import oracle_interaction_matrix
+from helpers import compound_order_csr, objective, oracle_interaction_matrix
 
 from repurpose import (
     Corpus,
@@ -16,7 +16,6 @@ from repurpose import (
     build_interaction_matrix,
     build_similarity_matrix,
     load_model,
-    objective,
     save_model,
     train_csnmf,
     train_nmf,
@@ -421,12 +420,13 @@ class TestTrainCsnmf:
         config = TrainConfig(rank=3, lam=0.4, max_iters=15, rel_tol=1e-12,
                              seed=2)
         ordered = train_csnmf(X, S, config)
-        plain = train_csnmf(X.matrix, S.to_csr(), config)
+        plain = train_csnmf(X.matrix, compound_order_csr(S), config)
         for name in ("U", "V", "objective_trace"):
             assert getattr(ordered, name).tobytes() == \
                 getattr(plain, name).tobytes()
         assert objective(X, ordered.U, ordered.V, S, config.lam) == \
-            objective(X.matrix, ordered.U, ordered.V, S.to_csr(), config.lam)
+            objective(X.matrix, ordered.U, ordered.V, compound_order_csr(S),
+                      config.lam)
 
 
 class TestPredict:

@@ -30,9 +30,6 @@ UNCALLED_ALLOWED = {
         "the in-memory twin of load_corpus, which tests state rows through",
     "corpus.Corpus.smiles_of":
         "the only reader of the compounds file's SMILES column",
-    "factorization.objective":
-        "the pairwise reference the trainer's Laplacian-form objective is "
-        "checked against",
 }
 
 BUILTIN_ATTRIBUTES = frozenset().union(

@@ -3,7 +3,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from helpers import bit_matrix_similarity, jaccard, oracle_jaccard_pairs
+from helpers import (
+    bit_matrix_similarity,
+    compound_order_csr,
+    jaccard,
+    oracle_jaccard_pairs,
+)
 
 from repurpose import (
     Corpus,
@@ -106,7 +111,7 @@ class TestBuildSimilarityMatrix:
 
     def test_csr_view_is_symmetric_with_zero_diagonal(self, corpus):
         matrix = build_similarity_matrix(corpus, "CF")
-        csr = matrix.to_csr()
+        csr = compound_order_csr(matrix)
         assert (csr != csr.T).nnz == 0
         assert not csr.diagonal().any()
         assert matrix.degrees() == pytest.approx(
@@ -145,7 +150,7 @@ class TestBuildSimilarityMatrix:
         assert np.array_equal(got_values, values)
         for (a, b), value in got.items():
             assert rebuilt.get(a, b) == rebuilt.get(b, a) == value
-        csr = rebuilt.to_csr()
+        csr = compound_order_csr(rebuilt)
         for lo, hi in zip(csr.indptr[:-1], csr.indptr[1:]):
             assert np.all(np.diff(csr.indices[lo:hi]) > 0)
         assert not csr.diagonal().any()
@@ -201,7 +206,8 @@ class TestLabelMatrixRows:
             for index in indexes:
                 got = build_similarity_matrix(corpus, "CF", index, threshold)
                 want = bit_matrix_similarity(corpus, "CF", index, threshold)
-                assert_same_arrays(got.to_csr(), want.to_csr())
+                assert_same_arrays(compound_order_csr(got),
+                                   compound_order_csr(want))
                 assert_same_arrays(got.triplets(), want.triplets())
                 assert got.degrees().tobytes() == want.degrees().tobytes()
                 pairs = rng.choice(len(index), size=(60, 2)) if index else ()
@@ -237,7 +243,7 @@ class TestBuildMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        csr = matrix.to_csr()
+        csr = compound_order_csr(matrix)
         assert csr.nnz > 400_000
         final = csr.data.nbytes + csr.indices.nbytes + csr.indptr.nbytes
         # the whole-product build peaked at 2.7x the final CSR
