@@ -2,10 +2,10 @@
 """The compound similarity graph: pairwise Jaccard over label sets.
 
 Any label source doubles as a binary fingerprint: the set of labels a
-compound carries. The Jaccard similarity of every pair of compounds is one
-symmetric sparse matrix (both triangles, no diagonal), can be thresholded,
-and is handed as is to the regularized trainer; its upper-triangle triplets
-list each unordered pair once.
+compound carries. The Jaccard similarity of every pair of compounds forms
+one symmetric matrix with no diagonal, which can be thresholded and is
+handed as is to the regularized trainer. Only its upper triangle is stored,
+each unordered pair once, and its triplets list those pairs row-major.
 """
 
 import tempfile

@@ -224,9 +224,10 @@ def _similarity_graph(corpus, source, interactions, threshold):
                                     threshold=threshold)
     n = graph.n_compounds
     log.info("similarity graph jaccard:%s: %d compounds, %d pairs, mean "
-             "degree %.2f, %d isolated", source, n, graph.n_pairs,
-             2 * graph.n_pairs / n if n else 0.0,
-             np.count_nonzero(graph.degrees() == 0))
+             "degree %.2f, %d isolated, %.1f MB stored", source, n,
+             graph.n_pairs, 2 * graph.n_pairs / n if n else 0.0,
+             np.count_nonzero(graph.degrees() == 0),
+             graph.stored_bytes / 1e6)
     return graph
 
 

@@ -24,15 +24,9 @@ from .factorization import (
 )
 
 
-def _canonical_csr(X):
-    """X as a CSR with sorted columns and no duplicates (copied if needed)."""
-    csr = _as_csr(X)
-    return csr if csr.has_canonical_format else csr.tocoo().tocsr()
-
-
 def _masked_entries(X, mask):
     """X's canonical CSR cut to the stored entries under a boolean mask."""
-    csr = _canonical_csr(X)
+    csr = _as_csr(X)
     indptr = np.concatenate(([0], np.cumsum(mask)))[csr.indptr]
     return sp.csr_matrix(
         (csr.data[mask], csr.indices[mask], indptr.astype(csr.indptr.dtype)),
@@ -56,7 +50,7 @@ def split_folds(X, n_folds=5, seed=0):
     """Randomly partition the stored entries of X into `n_folds` folds."""
     if n_folds < 2:
         raise ValueError("n_folds must be at least 2")
-    nnz = _canonical_csr(X).nnz
+    nnz = _as_csr(X).nnz
     if nnz < n_folds:
         raise EvalError(f"need at least {n_folds} stored entries, have {nnz}")
     rng = np.random.default_rng(seed)

@@ -135,12 +135,16 @@ def build_interaction_matrix(corpus, activity_types="IC50"):
 # -- matrix plumbing ---------------------------------------------------------
 
 def _as_csr(X):
-    """Accept an InteractionMatrix, scipy sparse, or dense array; return CSR."""
+    """Accept an InteractionMatrix, scipy sparse, or dense array; return a
+    CSR with sorted columns and no duplicates.  The caller's matrix is
+    never changed: one that lacks that form is copied."""
     if isinstance(X, InteractionMatrix):
-        return X.matrix
-    if sp.issparse(X):
-        return X.tocsr()
-    return sp.csr_matrix(np.asarray(X, dtype=np.float64))
+        csr = X.matrix
+    elif sp.issparse(X):
+        csr = X.tocsr()
+    else:
+        return sp.csr_matrix(np.asarray(X, dtype=np.float64))
+    return csr if csr.has_canonical_format else csr.tocoo().tocsr()
 
 
 def _index_tuples(X, n, m):
@@ -152,7 +156,7 @@ def _index_tuples(X, n, m):
 
 def _similarity_graph(S, X, compounds):
     """Validate S against X and return it as a SimilarityMatrix, or None
-    without S.  A raw matrix is wrapped with its rows in compound order."""
+    without S.  A raw matrix's upper triangle is wrapped in compound order."""
     if S is None:
         return None
     n_rows = len(compounds)
@@ -180,8 +184,8 @@ def _similarity_graph(S, X, compounds):
         raise FactorizationError("similarity matrix must have a zero diagonal")
     if S_csr.nnz and S_csr.data.min() < 0:
         raise FactorizationError("similarity values must be non-negative")
-    S_csr.sum_duplicates()  # sorted indices, as SimilarityMatrix holds them
-    return SimilarityMatrix._from_csr(compounds, S_csr, 0.0, None)
+    return SimilarityMatrix._from_upper(
+        compounds, sp.triu(S_csr, k=1, format="csr"), 0.0)
 
 
 def _objective_from_products(x_sq, U, XV, gram_u, gram_v, lam=0.0,

@@ -1,18 +1,20 @@
-"""Sparse Jaccard similarity between compounds, as one symmetric CSR.
+"""Sparse Jaccard similarity between compounds, as one upper-triangle CSR.
 
 A compound's labels under one source (ontology labels or precomputed
 structural bits) are a row of the corpus's compound x label matrix for that
 source.  Pairwise Jaccard similarity over a compound index is the product of
-those rows with their own transpose, optionally thresholded, and is held as
-one symmetric CSR with the diagonal left out; that matrix is the
-regularization graph of the factorization trainer.
+those rows with their own transpose, optionally thresholded; that symmetric
+matrix S, with the diagonal left out, is the regularization graph of the
+factorization trainer.  The trainer reads S only through S U and the
+degrees, and both come from one triangle, so only the strict upper
+triangle is stored: each pair once.
 
-The CSR's rows are stored in label-locality order: compounds that share
+Rows and columns are stored in label-locality order: compounds that share
 their rarest label sit on adjacent rows, so the trainer's product of the
 graph with its factor rows reads rows it has just read (Cuthill & McKee's
 bandwidth idea, with an order taken from the labels rather than the
-graph).  Only the rows are permuted; each stored row is its compound's row
-of the graph, with columns in compound order.
+graph).  Stored entry (k, l), k < l, is the Jaccard of compounds order[k]
+and order[l]; every accessor answers in compound order.
 
 The graph is built in two passes over row blocks of the label matrix, so
 the whole product is never formed: the first counts each row's kept
@@ -29,20 +31,21 @@ from .errors import UnknownCompoundError
 
 # Product entries formed at once, bounded per row by the sum of the row's
 # label counts.  A small block keeps the build's memory near the final CSR's,
-# but each block of the first pass also converts every label row below it,
-# so much smaller blocks slow the build.
+# but each block also converts every label row below it, so much smaller
+# blocks slow the build.
 _BLOCK_ENTRIES = 1_000_000
 
 
 class SimilarityMatrix:
-    """Sparse symmetric compound-compound similarity held as one CSR.
+    """Sparse symmetric compound-compound similarity held as the CSR of its
+    strict upper triangle.
 
-    The CSR holds both triangles with sorted indices; a zero value is no
-    edge and is not stored.  The diagonal is excluded -- the regularization
-    penalty is zero there.  Stored row k is the row of compound `order[k]`
-    (see the module docstring); every accessor answers in compound order.
-    The constructor takes upper-triangle triplets (i < j by position in the
-    compound index) and stores rows in compound order.
+    The CSR has sorted indices; a zero value is no edge and is not stored,
+    and the diagonal is excluded -- the regularization penalty is zero
+    there.  Rows and columns are in stored order (see the module
+    docstring): stored position k is compound `order[k]`.  The constructor
+    takes upper-triangle triplets (i < j by position in the compound index)
+    and stores them in compound order.
     """
 
     def __init__(self, compounds, rows, cols, values, threshold=0.0):
@@ -53,24 +56,25 @@ class SimilarityMatrix:
         n = len(compounds)
         upper = sp.csr_matrix(
             (np.asarray(values, dtype=np.float64), (rows, cols)), shape=(n, n))
-        self._hold(compounds, upper + upper.T, threshold)
+        upper.eliminate_zeros()
+        self._hold(compounds, upper, threshold)
 
     @classmethod
-    def _from_csr(cls, compounds, csr, threshold, order):
-        """Wrap a finished symmetric CSR (sorted indices, no diagonal) whose
-        row k is compound order[k]'s."""
+    def _from_upper(cls, compounds, upper, threshold, order=None):
+        """Wrap a finished strict-upper-triangle CSR (sorted indices) whose
+        position k is compound order[k]'s; compound order without `order`."""
         matrix = cls.__new__(cls)
-        matrix._hold(tuple(compounds), csr, threshold, order)
+        matrix._hold(tuple(compounds), upper, threshold, order)
         return matrix
 
-    def _hold(self, compounds, csr, threshold, order=None):
+    def _hold(self, compounds, upper, threshold, order=None):
         if order is None:
-            order = np.arange(len(compounds), dtype=csr.indices.dtype)
+            order = np.arange(len(compounds), dtype=upper.indices.dtype)
         self.compounds = compounds
         self.threshold = float(threshold)
-        self._csr = csr
+        self._upper = upper
         self._order = order
-        # the stored row of each compound position
+        # the stored position of each compound position
         self._row = np.empty_like(order)
         self._row[order] = np.arange(len(order), dtype=order.dtype)
         self._pos = {c: i for i, c in enumerate(compounds)}
@@ -81,7 +85,14 @@ class SimilarityMatrix:
 
     @property
     def n_pairs(self):
-        return self._csr.nnz // 2
+        return self._upper.nnz
+
+    @property
+    def stored_bytes(self):
+        """Bytes of the stored arrays: the CSR and the two order maps."""
+        upper = self._upper
+        return sum(a.nbytes for a in (upper.data, upper.indices, upper.indptr,
+                                      self._order, self._row))
 
     def position(self, compound):
         try:
@@ -93,43 +104,49 @@ class SimilarityMatrix:
     def get(self, compound_a, compound_b):
         """Similarity between two compounds (symmetric; 0.0 when unstored or
         when both ids are the same, since the diagonal is not kept)."""
-        i = self._row[self.position(compound_a)]
-        j = self.position(compound_b)
-        lo, hi = self._csr.indptr[i], self._csr.indptr[i + 1]
-        at = lo + np.searchsorted(self._csr.indices[lo:hi], j)
-        if at < hi and self._csr.indices[at] == j:
-            return float(self._csr.data[at])
+        k, l = sorted((self._row[self.position(compound_a)],
+                       self._row[self.position(compound_b)]))
+        upper = self._upper
+        lo, hi = upper.indptr[k], upper.indptr[k + 1]
+        at = lo + np.searchsorted(upper.indices[lo:hi], l)
+        if at < hi and upper.indices[at] == l:
+            return float(upper.data[at])
         return 0.0
 
     def triplets(self):
-        """(rows, cols, values) arrays of the upper triangle, row-major."""
-        csr = self._csr
-        # a stored row's upper-triangle entries are the tail of its sorted
-        # columns: those past its own compound's position
-        upper = csr.indices > np.repeat(self._order, np.diff(csr.indptr))
-        tails = np.diff(np.searchsorted(np.flatnonzero(upper), csr.indptr))
-        del upper
-        counts = tails[self._row]
-        starts = (csr.indptr[1:] - tails)[self._row]
-        # the tails' entry positions, compound by compound
-        at = np.repeat(starts - np.cumsum(counts) + counts, counts)
-        at += np.arange(len(at))
-        rows = np.repeat(np.arange(self.n_compounds, dtype=csr.indices.dtype),
-                         counts)
-        return rows, csr.indices[at], csr.data[at]
+        """(rows, cols, values) arrays of the upper triangle by compound
+        position, row-major."""
+        upper, order = self._upper, self._order
+        # stored pair (k, l) joins compounds order[k] and order[l], which
+        # may lie either way up
+        ends = np.repeat(order, np.diff(upper.indptr))
+        cols = order[upper.indices]
+        rows = np.minimum(ends, cols)
+        np.maximum(ends, cols, out=cols)
+        del ends
+        # laid out as a CSR, which sorts them row-major
+        by_row = sp.csr_matrix((upper.data, (rows, cols)), shape=upper.shape)
+        del rows, cols
+        rows = np.repeat(np.arange(self.n_compounds, dtype=order.dtype),
+                         np.diff(by_row.indptr))
+        return rows, by_row.indices.astype(order.dtype, copy=False), by_row.data
 
     def _product(self, U, out):
         """S U in compound order, written into `out` and returned.  Each row
-        sums the same terms in the same order as a product with the
-        compound-order CSR, so the result does not depend on the row order."""
-        out[self._order] = self._csr @ U
+        of the stored order sums its terms below the diagonal (column sums
+        of the upper triangle, in stored order), then those above it, and
+        adds the two."""
+        Up = U[self._order]
+        SU = self._upper.T @ Up
+        SU += self._upper @ Up
+        out[self._order] = SU
         return out
 
     def degrees(self):
-        """Row sums of the symmetric matrix (the D diagonal of L = D - S)."""
-        degrees = np.empty(self.n_compounds)
-        degrees[self._order] = np.asarray(self._csr.sum(axis=1)).ravel()
-        return degrees
+        """Row sums of the symmetric matrix (the D diagonal of L = D - S),
+        summed as `_product` sums."""
+        ones = np.ones((self.n_compounds, 1))
+        return self._product(ones, np.empty_like(ones)).ravel()
 
     def __repr__(self):
         return (f"SimilarityMatrix({self.n_compounds} compounds, "
@@ -163,16 +180,6 @@ def _rows(bits, lo, hi):
          bits.indptr[lo:hi + 1] - start), shape=(hi - lo, bits.shape[1]))
 
 
-def _jaccard(product, row_sizes, col_sizes):
-    """Jaccard of every stored entry of a shared-label-count product, and
-    the number of entries in each of its rows."""
-    lengths = np.diff(product.indptr)
-    union = np.repeat(row_sizes, lengths)
-    union += col_sizes[product.indices]
-    union -= product.data
-    return np.divide(product.data, union, out=union), lengths
-
-
 def _locality_order(bits):
     """Row order of a label CSR that puts rows sharing labels together.
 
@@ -192,6 +199,28 @@ def _locality_order(bits):
     return np.argsort(keys, kind="stable")
 
 
+def _upper_block(bits, sizes, lo, hi, threshold):
+    """Rows lo..hi-1 of the graph's strict upper triangle, from the product
+    of R[lo:hi] and R[lo:] transposed, with columns counted from lo.
+
+    Returns the product of shared-label counts, the Jaccard of each of its
+    stored entries and the mask of the entries kept: those right of the
+    diagonal, and at or over a nonzero threshold.  `sizes` holds the label
+    count of every row of R.
+    """
+    product = _rows(bits, lo, hi) @ _rows(bits, lo, bits.shape[0]).T
+    lengths = np.diff(product.indptr)
+    union = np.repeat(sizes[lo:hi], lengths)
+    union += sizes[lo:][product.indices]
+    union -= product.data
+    sims = np.divide(product.data, union, out=union)
+    keep = product.indices > np.repeat(
+        np.arange(hi - lo, dtype=product.indices.dtype), lengths)
+    if threshold > 0.0:
+        keep &= sims >= threshold
+    return product, sims, keep
+
+
 def build_similarity_matrix(corpus, source, compound_index=None, threshold=0.0):
     """All-pairs Jaccard similarity over `compound_index` for one source.
 
@@ -199,17 +228,15 @@ def build_similarity_matrix(corpus, source, compound_index=None, threshold=0.0):
     is inclusive.  Computed from sparse products of the label matrix, so
     cost scales with shared labels rather than with all n^2 pairs.
 
-    The rows are stored in the order `_locality_order` takes from the
-    label matrix B; R is B with its rows in that order.  Two passes run over
-    row blocks of R (see `_row_blocks`).  The first forms each block's upper
-    triangle, R[lo:hi] times R[lo:] transposed, and counts every kept pair
-    on both of its rows.  From those counts the CSR's arrays are allocated
-    once, at their final size.  The second forms each block's full rows,
-    R[lo:hi] times B (not R) transposed, with sorted columns in compound
-    order, and writes the kept entries into the block's slice.  Memory is
-    the final CSR plus about one block.  Jaccard is computed the same way
-    for (i, j) and (j, i), so the matrix is symmetric bit for bit, and
-    stored row k equals row order[k] of the graph built in compound order.
+    The graph is stored in the order `_locality_order` takes from the label
+    matrix; R is the label matrix with its rows in that order.  Two passes
+    run over row blocks of R (see `_row_blocks`), and each forms the block's
+    upper triangle from R[lo:hi] times R[lo:] transposed (`_upper_block`).
+    The first counts each row's kept entries; from those counts the CSR's
+    arrays are allocated once, at their final size.  The second writes each
+    block's kept entries into its slice, and the rows' columns are sorted
+    in place at the end.  Memory is the final CSR plus about one block.
+    Each pair's Jaccard is the one the whole product gives, bit for bit.
     """
     if not 0.0 <= threshold <= 1.0:
         raise ValueError(f"threshold must be in [0, 1], got {threshold}")
@@ -222,45 +249,31 @@ def build_similarity_matrix(corpus, source, compound_index=None, threshold=0.0):
     bits = corpus.label_index(source).matrix[corpus.positions(compound_index)]
     n = bits.shape[0]
     order = _locality_order(bits)
-    sizes = np.diff(bits.indptr).astype(np.float64)
-    row_sizes = sizes[order]
-    bits_t = bits.T.tocsr()
     bits = bits[order]  # R from here on
+    sizes = np.diff(bits.indptr).astype(np.float64)
     blocks = list(_row_blocks(bits))
 
     counts = np.zeros(n, dtype=np.int64)
     for lo, hi in blocks:
-        upper = _rows(bits, lo, hi) @ _rows(bits, lo, n).T
-        sims, lengths = _jaccard(upper, row_sizes[lo:hi], row_sizes[lo:])
-        rows = np.repeat(np.arange(hi - lo, dtype=upper.indices.dtype), lengths)
-        keep = upper.indices > rows
-        if threshold > 0.0:
-            keep &= sims >= threshold
-        # a kept pair counts on its own row and, mirrored, on its column's
-        kept_before = np.concatenate(([0], np.cumsum(keep)))[upper.indptr]
-        counts[lo:hi] += np.diff(kept_before)
-        counts[lo:] += np.bincount(upper.indices[keep], minlength=n - lo)
+        product, _, keep = _upper_block(bits, sizes, lo, hi, threshold)
+        counts[lo:hi] = np.diff(
+            np.concatenate(([0], np.cumsum(keep)))[product.indptr])
         # freed before the next block's product is formed
-        del upper, sims, rows, keep
+        del product, keep
 
     nnz = int(counts.sum())
     index_dtype = np.int32 if max(nnz, n) <= np.iinfo(np.int32).max else np.int64
-    order = order.astype(index_dtype)
     indptr = np.zeros(n + 1, dtype=index_dtype)
     np.cumsum(counts, out=indptr[1:])
     indices = np.empty(nnz, dtype=index_dtype)
     data = np.empty(nnz)
     for lo, hi in blocks:
-        full = _rows(bits, lo, hi) @ bits_t
-        full.sort_indices()
-        sims, lengths = _jaccard(full, row_sizes[lo:hi], sizes)
-        diagonal = np.repeat(order[lo:hi], lengths)
-        keep = full.indices != diagonal
-        if threshold > 0.0:
-            keep &= sims >= threshold
-        indices[indptr[lo]:indptr[hi]] = full.indices[keep]
+        product, sims, keep = _upper_block(bits, sizes, lo, hi, threshold)
+        indices[indptr[lo]:indptr[hi]] = product.indices[keep]
+        indices[indptr[lo]:indptr[hi]] += lo
         data[indptr[lo]:indptr[hi]] = sims[keep]
-        # freed before the next block's product is formed
-        del full, sims, diagonal, keep
-    csr = sp.csr_matrix((data, indices, indptr), shape=(n, n))
-    return SimilarityMatrix._from_csr(compound_index, csr, threshold, order)
+        del product, sims, keep
+    upper = sp.csr_matrix((data, indices, indptr), shape=(n, n))
+    upper.sort_indices()
+    return SimilarityMatrix._from_upper(compound_index, upper, threshold,
+                                        order.astype(index_dtype))

@@ -8,7 +8,9 @@ are the one-label and one-compound forms of NOIR's array scoring.
 builds the Jaccard graph compound by compound from `labels_of`, the route
 the label matrix replaced.  `objective` sums the similarity penalty pair by
 pair, the reference for the trainer's Laplacian-form trace, over the
-graph's `compound_order_csr`.
+graph's `compound_order_csr`.  `stored_order_product` sums S U with plain
+loops in the graph's stored order, the reference for its product and its
+degrees.
 `triple_folds` and `triple_training_matrix` hold each cross-validation fold
 as (row, col, value) triples, the reference for the fold-id array and the
 masks cut from it.
@@ -282,8 +284,45 @@ def objective(X, U, V, S=None, lam=0.0):
 def compound_order_csr(graph):
     """A SimilarityMatrix as a symmetric CSR with rows in compound order
     (both triangles, sorted indices, zero diagonal), built from its stored
-    rows."""
-    return graph._csr[graph._row]
+    upper triangle."""
+    upper = graph._upper.tocoo()
+    a, b = graph._order[upper.row], graph._order[upper.col]
+    n = graph.n_compounds
+    return sp.csr_matrix(
+        (np.concatenate((upper.data, upper.data)),
+         (np.concatenate((a, b)), np.concatenate((b, a)))), shape=(n, n))
+
+
+def stored_order_product(graph, U):
+    """S U for a SimilarityMatrix, summed with plain loops in the order of
+    its stored upper triangle T.
+
+    Stored row k's value is the sum below the diagonal (T[j, k] over j in
+    ascending order) plus the sum above it (T[k, l] over l in ascending
+    order), each started from 0.0; row k is compound order[k]'s.  It is the
+    reference `_product` and `degrees()` must equal float for float.
+    """
+    upper, order = graph._upper, graph._order.tolist()
+    indptr = upper.indptr.tolist()
+    indices, data = upper.indices.tolist(), upper.data.tolist()
+    n = len(order)
+    U = np.asarray(U, dtype=np.float64)
+    rows = [U[order[k]].tolist() for k in range(n)]
+    below = [[] for _ in range(n)]
+    for k in range(n):
+        for at in range(indptr[k], indptr[k + 1]):
+            below[indices[at]].append((k, data[at]))
+    out = np.zeros_like(U)
+    for k in range(n):
+        for c in range(U.shape[1]):
+            lower = 0.0
+            for j, value in below[k]:
+                lower += value * rows[j][c]
+            higher = 0.0
+            for at in range(indptr[k], indptr[k + 1]):
+                higher += data[at] * rows[indices[at]][c]
+            out[order[k], c] = lower + higher
+    return out
 
 
 def triple_folds(X, n_folds, seed):

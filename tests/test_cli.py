@@ -368,9 +368,14 @@ class TestTrainEvaluateRecommend:
             corpus, "CF", build_interaction_matrix(corpus, "IC50").compounds)
         n = graph.n_compounds
         isolated = sum(not compound_order_csr(graph)[i].nnz for i in range(n))
+        upper = graph._upper
+        stored = sum(a.nbytes for a in (upper.data, upper.indices,
+                                        upper.indptr, graph._order,
+                                        graph._row))
         graph_line = (f"INFO similarity graph jaccard:CF: {n} compounds, "
                       f"{graph.n_pairs} pairs, mean degree "
-                      f"{2 * graph.n_pairs / n:.2f}, {isolated} isolated")
+                      f"{2 * graph.n_pairs / n:.2f}, {isolated} isolated, "
+                      f"{stored / 1e6:.1f} MB stored")
 
         train = ["train", "--data-dir", str(data_dir), "--rank", "3",
                  "--max-iters", "4", "--tol", "1e-12", "--similarity",

@@ -401,8 +401,9 @@ class TestTrainCsnmf:
     @pytest.mark.parametrize("block_entries", [1, None])
     def test_row_ordered_graph_trains_as_compound_ordered(
             self, make_corpus, monkeypatch, block_entries):
-        """The built graph stores its rows out of compound order; training on
-        it must match training on its compound-order CSR bit for bit."""
+        """The built graph is stored out of compound order, and its S U and
+        degrees are summed in that order; training on it must match
+        training on its compound-order CSR up to rounding."""
         if block_entries is not None:
             monkeypatch.setattr(similarity, "_BLOCK_ENTRIES", block_entries)
         rng = np.random.default_rng(46)
@@ -421,12 +422,36 @@ class TestTrainCsnmf:
                              seed=2)
         ordered = train_csnmf(X, S, config)
         plain = train_csnmf(X.matrix, compound_order_csr(S), config)
+        assert len(ordered.objective_trace) == len(plain.objective_trace)
         for name in ("U", "V", "objective_trace"):
-            assert getattr(ordered, name).tobytes() == \
-                getattr(plain, name).tobytes()
+            np.testing.assert_allclose(getattr(ordered, name),
+                                       getattr(plain, name), rtol=1e-9)
         assert objective(X, ordered.U, ordered.V, S, config.lam) == \
             objective(X.matrix, ordered.U, ordered.V, compound_order_csr(S),
                       config.lam)
+
+    @pytest.mark.parametrize("train", ["nmf", "csnmf"])
+    def test_raw_csr_argument_left_unchanged(self, train):
+        """A raw CSR with unsorted columns and duplicate entries trains as
+        its canonical form, and the caller's arrays keep their bytes."""
+        raw = sp.csr_matrix((np.array([1.0, 2.0, 3.0, 4.0, 5.0]),
+                             np.array([2, 0, 2, 1, 0]), np.array([0, 3, 5])),
+                            shape=(2, 3))
+        arrays = [a.copy() for a in (raw.data, raw.indices, raw.indptr)]
+        config = TrainConfig(rank=1, lam=0.3, max_iters=3, seed=1)
+        S = np.array([[0.0, 0.5], [0.5, 0.0]])
+        if train == "nmf":
+            got, want = (train_nmf(x, config)
+                         for x in (raw, raw.toarray()))
+        else:
+            got, want = (train_csnmf(x, S, config)
+                         for x in (raw, raw.toarray()))
+        assert raw.nnz == 5
+        for array, before in zip((raw.data, raw.indices, raw.indptr), arrays):
+            assert array.dtype == before.dtype
+            assert array.tobytes() == before.tobytes()
+        for name in ("U", "V", "objective_trace"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
 
 
 class TestPredict:

@@ -2,21 +2,26 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from helpers import (
     bit_matrix_similarity,
     compound_order_csr,
     jaccard,
     oracle_jaccard_pairs,
+    stored_order_product,
 )
 
 from repurpose import (
     Corpus,
     SimilarityMatrix,
+    TrainConfig,
     UnknownCompoundError,
     build_similarity_matrix,
     similarity,
+    train_csnmf,
 )
+from repurpose.factorization import _similarity_graph
 
 
 class TestJaccard:
@@ -157,6 +162,11 @@ class TestBuildSimilarityMatrix:
         for bad_rows, bad_cols in (([cols[0]], [rows[0]]), ([3], [3])):
             with pytest.raises(ValueError, match="row < col"):
                 SimilarityMatrix(matrix.compounds, bad_rows, bad_cols, [0.5])
+        # a zero value is no edge, and a repeated pair sums
+        sparse = SimilarityMatrix(matrix.compounds, [0, 1, 1], [2, 3, 3],
+                                  [0.0, 0.25, 0.5])
+        assert sparse.n_pairs == 1
+        assert sparse.get(matrix.compounds[3], matrix.compounds[1]) == 0.75
 
 
 class TestLabelMatrixRows:
@@ -209,7 +219,9 @@ class TestLabelMatrixRows:
                 assert_same_arrays(compound_order_csr(got),
                                    compound_order_csr(want))
                 assert_same_arrays(got.triplets(), want.triplets())
-                assert got.degrees().tobytes() == want.degrees().tobytes()
+                # summed in different orders (see TestStoredOrderProduct)
+                np.testing.assert_allclose(got.degrees(), want.degrees(),
+                                           rtol=1e-12)
                 pairs = rng.choice(len(index), size=(60, 2)) if index else ()
                 for a, b in pairs:
                     assert got.get(index[a], index[b]) == \
@@ -225,16 +237,88 @@ def assert_same_arrays(got, want):
         assert got_array.tobytes() == want_array.tobytes()
 
 
+class TestStoredOrderProduct:
+    """S U and the degrees are summed in the graph's stored order: each
+    stored row's terms below the diagonal, then those above it.  They must
+    equal the plain-loop reference float for float, on built graphs and on
+    raw matrices."""
+
+    @staticmethod
+    def assert_matches_reference(graph, rng, S=None):
+        """S, when given, is the symmetric matrix the graph must hold."""
+        n = graph.n_compounds
+        U = rng.random((n, 3))
+        got = graph._product(U, np.empty_like(U))
+        assert got.tobytes() == stored_order_product(graph, U).tobytes()
+        degrees = graph.degrees()
+        assert degrees.tobytes() == \
+            stored_order_product(graph, np.ones((n, 1))).ravel().tobytes()
+        # and the reference is S U
+        csr = compound_order_csr(graph) if S is None else sp.csr_matrix(S)
+        np.testing.assert_allclose(got, csr @ U, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(
+            degrees, np.asarray(csr.sum(axis=1)).ravel(), rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("block_entries", [1, None])
+    @pytest.mark.parametrize("threshold", [0.0, 0.5])
+    def test_built_graphs(self, make_corpus, monkeypatch, block_entries,
+                          threshold):
+        if block_entries is not None:
+            monkeypatch.setattr(similarity, "_BLOCK_ENTRIES", block_entries)
+        rng = np.random.default_rng(61)
+        for _ in range(4):
+            n = int(rng.integers(20, 90))
+            ids = [f"c{i:02d}" for i in range(n)]
+            rows = [(cid, "CF", f"l{v:02d}") for cid in ids
+                    for v in rng.choice(20, size=int(rng.integers(0, 7)),
+                                        replace=False)]
+            # a compound whose one label no other carries is isolated
+            rows.append((ids[0], "CF", "own"))
+            corpus = make_corpus(ids, rows)
+            index = tuple(rng.permutation(ids))
+            graph = build_similarity_matrix(corpus, "CF", index, threshold)
+            assert graph.n_pairs
+            assert (graph.degrees() == 0).any()
+            self.assert_matches_reference(graph, rng)
+
+    def test_small_and_empty_graphs(self, make_corpus):
+        rng = np.random.default_rng(62)
+        corpus = make_corpus(["a", "b", "c"], [("a", "CF", "x"),
+                                               ("b", "CF", "y")])
+        for index in (("a", "b", "c"), ("b",), ()):
+            graph = build_similarity_matrix(corpus, "CF", index)
+            assert graph.n_pairs == 0
+            self.assert_matches_reference(graph, rng)
+            assert not graph.degrees().any()
+
+    @pytest.mark.parametrize("kind", ["dense", "scipy"])
+    def test_raw_matrices(self, kind):
+        rng = np.random.default_rng(63)
+        for n in (1, 2, 7, 40):
+            upper = np.triu(rng.random((n, n)) * (rng.random((n, n)) < 0.3),
+                            k=1)
+            S = upper + upper.T
+            if kind == "scipy":
+                S = sp.coo_matrix(S)
+            compounds = tuple(str(i) for i in range(n))
+            graph = _similarity_graph(S, np.ones((n, 1)), compounds)
+            assert np.array_equal(graph._order, np.arange(n))
+            self.assert_matches_reference(graph, rng, S)
+
+
 class TestBuildMemory:
     """numpy and scipy's sparse products allocate through tracemalloc, so its
     peak counts every temporary the build makes."""
 
-    def test_peak_rise_is_final_csr_plus_one_block(self, monkeypatch):
+    @pytest.fixture(scope="class")
+    def corpus(self):
         rng = np.random.default_rng(5)
-        ids = [f"m{i:04d}" for i in range(1200)]
-        rows = [(cid, "CF", f"k{i % 3}-{v:02d}") for i, cid in enumerate(ids)
+        ids = [f"m{i:04d}" for i in range(1400)]
+        rows = [(cid, "CF", f"k{i % 2}-{v:02d}") for i, cid in enumerate(ids)
                 for v in rng.choice(16, size=8, replace=False)]
-        corpus = Corpus.build(ids, rows)
+        return Corpus.build(ids, rows)
+
+    def test_peak_rise_is_final_csr_plus_one_block(self, corpus, monkeypatch):
         monkeypatch.setattr(similarity, "_BLOCK_ENTRIES", 20_000)
         tracemalloc.start()
         try:
@@ -243,8 +327,24 @@ class TestBuildMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        csr = compound_order_csr(matrix)
-        assert csr.nnz > 400_000
-        final = csr.data.nbytes + csr.indices.nbytes + csr.indptr.nbytes
-        # the whole-product build peaked at 2.7x the final CSR
-        assert peak - before <= 1.25 * final
+        assert matrix.n_pairs > 400_000
+        upper = matrix._upper
+        stored = upper.data.nbytes + upper.indices.nbytes + upper.indptr.nbytes
+        assert matrix.stored_bytes == stored + matrix._order.nbytes \
+            + matrix._row.nbytes
+        # a symmetric CSR alone would take twice the stored one
+        assert peak - before <= 1.2 * stored
+
+    def test_training_forms_no_symmetric_copy(self, corpus):
+        graph = build_similarity_matrix(corpus, "CF", threshold=0.2)
+        assert graph.n_pairs > 400_000
+        X = np.random.default_rng(6).random((graph.n_compounds, 8))
+        config = TrainConfig(rank=3, lam=0.1, max_iters=3, rel_tol=1e-12)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            train_csnmf(X, graph, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - before < 0.5 * graph.stored_bytes
