@@ -150,6 +150,21 @@ def cmd_generate_synthetic(args):
     return 0
 
 
+def _edited_reference(directory, source, target):
+    """Read DIR/reference_<source>.tsv; a bad file is a usage error."""
+    path = os.path.join(directory, f"reference_{source}.tsv")
+    if not os.path.isfile(path):
+        raise ConfigError(f"edited reference file not found: {path}")
+    try:
+        reference = read_reference_set(path, target=target)
+    except FormatError as exc:
+        raise ConfigError(str(exc)) from None
+    if reference.source != source:
+        raise ConfigError(f"{path}: holds source {reference.source!r} rows, "
+                          f"not {source!r} as its name says")
+    return reference
+
+
 def cmd_noir(args):
     corpus = _load(args.data_dir)
     sources = [s for s in args.sources.split(",") if s]
@@ -159,13 +174,11 @@ def cmd_noir(args):
         raise ConfigError(f"--sources {args.sources!r} repeats a source")
     if args.top_n < 1:
         raise ConfigError(f"--top-n must be >= 1, got {args.top_n}")
+    # every flag and hand-edited query file is checked before any output
+    configs, edited = {}, {}
     for source in sources:
         _check_source(corpus, source)
-    os.makedirs(args.out_dir, exist_ok=True)
-
-    results = {}
-    for source in sources:
-        config = _checked(
+        configs[source] = _checked(
             ReferenceSetConfig,
             target=args.target,
             source=source,
@@ -176,22 +189,19 @@ def cmd_noir(args):
             set_size=args.set_size,
         )
         if args.edited_references:
-            # retrieve against hand-edited query files; the relevant set is
-            # still derived from the corpus so exclusion works as usual
-            edited = os.path.join(args.edited_references,
-                                  f"reference_{source}.tsv")
-            if not os.path.isfile(edited):
-                raise ConfigError(f"edited reference file not found: {edited}")
-            try:
-                loaded = read_reference_set(edited, target=args.target)
-            except FormatError as exc:
-                raise ConfigError(str(exc)) from None
-            relevant = corpus.compounds_for_target(
-                args.target, args.activity_type, args.threshold)
-            reference = loaded
-            exclude = frozenset(relevant)
+            edited[source] = _edited_reference(args.edited_references, source,
+                                               args.target)
+    os.makedirs(args.out_dir, exist_ok=True)
+
+    results = {}
+    for source in sources:
+        if edited:
+            # exclusion still uses the relevant set the corpus gives
+            reference = edited[source]
+            exclude = frozenset(corpus.compounds_for_target(
+                args.target, args.activity_type, args.threshold))
         else:
-            reference = build_reference_set(corpus, config)
+            reference = build_reference_set(corpus, configs[source])
             exclude = reference.relevant
         if args.keep_relevant:
             exclude = frozenset()

@@ -78,12 +78,14 @@ def _tsv_chunks(path, columns, header_required):
     comments only above the header row (or the first data row when the
     header is left out), so a field may start with '#'.  A header row
     matching `columns` (case-insensitive) is consumed when present; when
-    `header_required` it must be the first non-comment line.  A row with
+    `header_required` it must be the first non-comment line, and a file
+    without one is reported at the line after its last.  A row with
     the wrong number of fields raises FormatError once the rows above it
     have been yielded, so the first bad row of the file is the one reported.
     """
     n_cols = len(columns)
     canonical = tuple(c.lower() for c in columns)
+    missing = "missing header row (expected %s)" % "<TAB>".join(columns)
     preamble, lineno, rest = True, 0, ""
     with open(path, "r", encoding="utf-8") as fh:
         while True:
@@ -101,9 +103,10 @@ def _tsv_chunks(path, columns, header_required):
                 if tuple(f.strip().lower() for f in line.split("\t")) == canonical:
                     start += 1
                 elif header_required:
-                    raise FormatError(
-                        path, first + start,
-                        "missing header row (expected %s)" % "<TAB>".join(columns))
+                    raise FormatError(path, first + start, missing)
+            if preamble and header_required and not text:
+                # no header; the line after the last, which may be unended
+                raise FormatError(path, lineno + bool(lines[-1]), missing)
             rows, linenos = lines[start:], range(first + start, lineno + 1)
             if not all(map(str.strip, rows)):
                 kept = [k for k, line in enumerate(rows) if line.strip()]

@@ -180,9 +180,9 @@ def cross_validate(X, config, S=None, n_folds=5, k_list=(30, 50, 100),
                    seed=0, exclude_train_targets=True, label=None):
     """Run the full protocol: split, train per fold, score RMSE and recall.
 
-    Trains the similarity-regularized model when `S` is given and
-    `config.lam` > 0, plain NMF otherwise.  Per-compound recalls are pooled
-    across folds before the mean/std summary.
+    Trains the similarity-regularized model when `S`, a SimilarityMatrix
+    over X's rows, is given and `config.lam` > 0, plain NMF otherwise.
+    Per-compound recalls are pooled across folds before the mean/std summary.
     """
     k_list = _recall_arguments(k_list, sample_size, min_train_targets,
                                min_test_targets)

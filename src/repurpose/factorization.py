@@ -147,45 +147,21 @@ def _as_csr(X):
     return csr if csr.has_canonical_format else csr.tocoo().tocsr()
 
 
-def _index_tuples(X, n, m):
-    """Row/column id tuples for a training input (synthesized when raw)."""
-    if isinstance(X, InteractionMatrix):
-        return X.compounds, X.targets
-    return tuple(str(i) for i in range(n)), tuple(str(j) for j in range(m))
-
-
-def _similarity_graph(S, X, compounds):
-    """Validate S against X and return it as a SimilarityMatrix, or None
-    without S.  A raw matrix's upper triangle is wrapped in compound order."""
+def _similarity_graph(S, X, n_rows):
+    """Check that S is None or a SimilarityMatrix over X's rows; return it."""
     if S is None:
         return None
-    n_rows = len(compounds)
-    if isinstance(S, SimilarityMatrix):
-        if isinstance(X, InteractionMatrix):
-            if S.compounds != X.compounds:
-                raise FactorizationError(
-                    "similarity matrix compound index does not match the "
-                    "interaction matrix rows")
-        elif S.n_compounds != n_rows:
-            raise FactorizationError(
-                f"similarity index size {S.n_compounds} does not match "
-                f"matrix rows {n_rows}")
-        return S
-
-    S_csr = sp.csr_matrix(np.asarray(S, dtype=np.float64)) if not sp.issparse(S) \
-        else S.tocsr().astype(np.float64)
-    if S_csr.shape != (n_rows, n_rows):
+    if not isinstance(S, SimilarityMatrix):
         raise FactorizationError(
-            f"similarity matrix shape {S_csr.shape} does not match "
-            f"matrix rows {n_rows}")
-    if (S_csr != S_csr.T).nnz != 0:
-        raise FactorizationError("similarity matrix must be symmetric")
-    if S_csr.diagonal().any():
-        raise FactorizationError("similarity matrix must have a zero diagonal")
-    if S_csr.nnz and S_csr.data.min() < 0:
-        raise FactorizationError("similarity values must be non-negative")
-    return SimilarityMatrix._from_upper(
-        compounds, sp.triu(S_csr, k=1, format="csr"), 0.0)
+            "the similarity graph must be a SimilarityMatrix, not "
+            f"{type(S).__name__}; wrap a symmetric matrix's upper triangle as "
+            "SimilarityMatrix(compounds, rows, cols, values)")
+    if (S.compounds != X.compounds if isinstance(X, InteractionMatrix)
+            else S.n_compounds != n_rows):
+        raise FactorizationError(
+            f"similarity matrix compound index ({S.n_compounds} compounds) "
+            f"does not match the {n_rows} interaction matrix rows")
+    return S
 
 
 def _objective_from_products(x_sq, U, XV, gram_u, gram_v, lam=0.0,
@@ -252,8 +228,12 @@ def _train_core(X, S, lam, config, on_iteration):
             f"rank {config.rank} exceeds min(rows, cols) = {min(n, m)}")
     if X_csr.nnz and X_csr.data.min() < 0:
         raise FactorizationError("input matrix must be nonnegative")
-    compounds, targets = _index_tuples(X, n, m)
-    graph = _similarity_graph(S, X, compounds)
+    if isinstance(X, InteractionMatrix):
+        compounds, targets = X.compounds, X.targets
+    else:  # ids synthesized for a raw matrix
+        compounds = tuple(str(i) for i in range(n))
+        targets = tuple(str(j) for j in range(m))
+    graph = _similarity_graph(S, X, n)
     regularize = lam > 0.0 and graph is not None
 
     rng = np.random.default_rng(config.seed)
@@ -328,7 +308,9 @@ def train_nmf(X, config, on_iteration=None):
 def train_csnmf(X, S, config, on_iteration=None):
     """Train similarity-regularized NMF.
 
-    With D the diagonal row-sum of S, the compound-side update becomes
+    S is a SimilarityMatrix over X's rows: over `X.compounds` for an
+    InteractionMatrix, of X's row count otherwise.  With D the diagonal
+    row-sum of S, the compound-side update becomes
     U <- U * (X V + lam S U) / (U V^T V + lam D U + eps); the target side is
     unchanged.  With lam = 0 this reproduces :func:`train_nmf` exactly,
     iterate for iterate.

@@ -5,9 +5,9 @@ structural bits) are a row of the corpus's compound x label matrix for that
 source.  Pairwise Jaccard similarity over a compound index is the product of
 those rows with their own transpose, optionally thresholded; that symmetric
 matrix S, with the diagonal left out, is the regularization graph of the
-factorization trainer.  The trainer reads S only through S U and the
-degrees, and both come from one triangle, so only the strict upper
-triangle is stored: each pair once.
+factorization trainer, which takes a graph in this form only.  The trainer
+reads S only through S U and the degrees, and both come from one
+triangle, so only the strict upper triangle is stored: each pair once.
 
 Rows and columns are stored in label-locality order: compounds that share
 their rarest label sit on adjacent rows, so the trainer's product of the
@@ -45,31 +45,33 @@ class SimilarityMatrix:
     there.  Rows and columns are in stored order (see the module
     docstring): stored position k is compound `order[k]`.  The constructor
     takes upper-triangle triplets (i < j by position in the compound index)
-    and stores them in compound order.
+    and stores them in compound order, summing a repeated pair's values,
+    which must be finite and non-negative as the graph penalty assumes.
     """
 
     def __init__(self, compounds, rows, cols, values, threshold=0.0):
         compounds = tuple(compounds)
         rows, cols = np.asarray(rows), np.asarray(cols)
+        values = np.asarray(values, dtype=np.float64)
         if not (rows < cols).all():
             raise ValueError("entries must satisfy row < col (upper triangle)")
+        if not (np.isfinite(values) & (values >= 0)).all():
+            raise ValueError("similarity values must be finite and non-negative")
         n = len(compounds)
-        upper = sp.csr_matrix(
-            (np.asarray(values, dtype=np.float64), (rows, cols)), shape=(n, n))
+        upper = sp.csr_matrix((values, (rows, cols)), shape=(n, n))
         upper.eliminate_zeros()
-        self._hold(compounds, upper, threshold)
+        self._hold(compounds, upper, threshold,
+                   np.arange(n, dtype=upper.indices.dtype))
 
     @classmethod
-    def _from_upper(cls, compounds, upper, threshold, order=None):
+    def _from_upper(cls, compounds, upper, threshold, order):
         """Wrap a finished strict-upper-triangle CSR (sorted indices) whose
-        position k is compound order[k]'s; compound order without `order`."""
+        position k is compound order[k]'s."""
         matrix = cls.__new__(cls)
         matrix._hold(tuple(compounds), upper, threshold, order)
         return matrix
 
-    def _hold(self, compounds, upper, threshold, order=None):
-        if order is None:
-            order = np.arange(len(compounds), dtype=upper.indices.dtype)
+    def _hold(self, compounds, upper, threshold, order):
         self.compounds = compounds
         self.threshold = float(threshold)
         self._upper = upper

@@ -17,6 +17,14 @@ from typing import NamedTuple
 
 import numpy as np
 
+# Labels of its cluster's pool that every compound carries, per source.
+_CORE_LABELS = 2
+# Own-cluster records are potent at this rate, else moderate; noise is weak.
+_POTENT_FRACTION = 0.35
+_POTENT_RANGE_NM = (1.0, 25.0)
+_MODERATE_RANGE_NM = (500.0, 9500.0)
+_WEAK_RANGE_NM = (12_000.0, 30_000.0)
+
 
 @dataclass(frozen=True)
 class SyntheticSpec:
@@ -26,17 +34,12 @@ class SyntheticSpec:
     n_targets: int
     n_clusters: int
     labels_per_compound: int = 8
-    core_labels: int = 2
     pool_size: int = 16
     sources: tuple[str, ...] = ("CF", "OC")
     activity_type: str = "IC50"
     targets_per_compound: tuple[int, int] = (4, 10)
-    potent_fraction: float = 0.35
-    potent_range_nm: tuple[float, float] = (1.0, 25.0)
-    moderate_range_nm: tuple[float, float] = (500.0, 9500.0)
     label_noise: float = 0.0
     activity_noise: float = 0.0
-    weak_range_nm: tuple[float, float] = (12_000.0, 30_000.0)
 
     def __post_init__(self):
         if self.n_clusters < 1:
@@ -45,8 +48,8 @@ class SyntheticSpec:
             raise ValueError("more clusters than compounds")
         if self.n_clusters > self.n_targets:
             raise ValueError("more clusters than targets")
-        if not 1 <= self.core_labels <= self.labels_per_compound:
-            raise ValueError("core_labels must be in [1, labels_per_compound]")
+        if self.labels_per_compound < _CORE_LABELS:
+            raise ValueError("labels_per_compound is below the core labels")
         if self.labels_per_compound > self.pool_size:
             raise ValueError("labels_per_compound exceeds the cluster pool size")
         if not self.sources:
@@ -57,8 +60,6 @@ class SyntheticSpec:
         for rate in (self.label_noise, self.activity_noise):
             if not 0.0 <= rate <= 1.0:
                 raise ValueError("noise rates must be in [0, 1]")
-        if not 0.0 <= self.potent_fraction <= 1.0:
-            raise ValueError("potent_fraction must be in [0, 1]")
 
 
 class SyntheticPaths(NamedTuple):
@@ -114,11 +115,11 @@ def generate_synthetic(spec, out_dir, seed=0):
         g = compound_cluster[compound]
         for source in spec.sources:
             pool = pools[(source, g)]
-            chosen = set(pool[:spec.core_labels])
-            extras = spec.labels_per_compound - spec.core_labels
+            chosen = set(pool[:_CORE_LABELS])
+            extras = spec.labels_per_compound - _CORE_LABELS
             if extras > 0:
                 chosen.update(rng.choice(
-                    pool[spec.core_labels:], size=extras, replace=False))
+                    pool[_CORE_LABELS:], size=extras, replace=False))
             if spec.label_noise > 0 and spec.n_clusters > 1 \
                     and rng.random() < spec.label_noise:
                 other = int(rng.integers(spec.n_clusters - 1))
@@ -137,10 +138,10 @@ def generate_synthetic(spec, out_dir, seed=0):
         count = min(count, len(own))
         picked = rng.choice(own, size=count, replace=False)
         for target in sorted(picked):
-            if rng.random() < spec.potent_fraction:
-                value = rng.uniform(*spec.potent_range_nm)
+            if rng.random() < _POTENT_FRACTION:
+                value = rng.uniform(*_POTENT_RANGE_NM)
             else:
-                value = rng.uniform(*spec.moderate_range_nm)
+                value = rng.uniform(*_MODERATE_RANGE_NM)
             activity_rows.append((compound, target, value))
         if spec.activity_noise > 0 and spec.n_clusters > 1 \
                 and rng.random() < spec.activity_noise:
@@ -149,7 +150,7 @@ def generate_synthetic(spec, out_dir, seed=0):
             foreign = targets_by_cluster[other]
             target = foreign[int(rng.integers(len(foreign)))]
             activity_rows.append(
-                (compound, target, rng.uniform(*spec.weak_range_nm)))
+                (compound, target, rng.uniform(*_WEAK_RANGE_NM)))
 
     paths = SyntheticPaths(
         compounds=os.path.join(out_dir, "compounds.tsv"),

@@ -7,8 +7,9 @@ are the one-label and one-compound forms of NOIR's array scoring.
 `bit_matrix_similarity` is the one reference that reads the corpus: it
 builds the Jaccard graph compound by compound from `labels_of`, the route
 the label matrix replaced.  `objective` sums the similarity penalty pair by
-pair, the reference for the trainer's Laplacian-form trace, over the
-graph's `compound_order_csr`.  `stored_order_product` sums S U with plain
+pair, the reference for the trainer's Laplacian-form trace, over a raw
+symmetric S or a graph's `compound_order_csr`; `graph_of` wraps a raw S for
+the trainers.  `stored_order_product` sums S U with plain
 loops in the graph's stored order, the reference for its product and its
 degrees.
 `triple_folds` and `triple_training_matrix` hold each cross-validation fold
@@ -20,12 +21,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from repurpose import EvalError, SimilarityMatrix
-from repurpose.factorization import (
-    _as_csr,
-    _index_tuples,
-    _objective_from_products,
-    _similarity_graph,
-)
+from repurpose.factorization import _as_csr, _objective_from_products
 
 # Pairwise-penalty evaluation is chunked to bound peak memory on large
 # similarity graphs.
@@ -263,7 +259,9 @@ def objective(X, U, V, S=None, lam=0.0):
     Unstored entries of X count as zeros (dense Frobenius semantics); the
     penalty sums each unordered compound pair once, which makes its
     gradient with respect to U exactly lam * (D - S) U.  Summed pair by
-    pair, it is the reference for the trainer's Laplacian-form trace.
+    pair, it is the reference for the trainer's Laplacian-form trace.  S is
+    a SimilarityMatrix or a symmetric dense or scipy matrix, whose upper
+    triangle is summed as it stands.
     """
     X_csr = _as_csr(X)
     U = np.asarray(U, dtype=np.float64)
@@ -276,9 +274,19 @@ def objective(X, U, V, S=None, lam=0.0):
     value = _objective_from_products(
         float((X_csr.data ** 2).sum()), U, X_csr @ V, U.T @ U, V.T @ V)
     if S is not None and lam != 0.0:
-        graph = _similarity_graph(S, X, _index_tuples(X, n, m)[0])
-        value += _penalty_term(compound_order_csr(graph), U, lam)
+        if isinstance(S, SimilarityMatrix):
+            S = compound_order_csr(S)
+        value += _penalty_term(sp.csr_matrix(S), U, lam)
     return value
+
+
+def graph_of(S):
+    """A symmetric dense or scipy matrix as a SimilarityMatrix over compound
+    ids "0", "1", ..., built by the public constructor from its strict upper
+    triangle."""
+    upper = sp.triu(S, k=1).tocoo()
+    return SimilarityMatrix([str(i) for i in range(upper.shape[0])],
+                            upper.row, upper.col, upper.data)
 
 
 def compound_order_csr(graph):

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from helpers import (
+    graph_of,
     objective,
     oracle_doc_scores,
     oracle_reference,
@@ -153,7 +154,7 @@ def test_criterion_4_reduction_bit_identical():
         config = TrainConfig(rank=8, lam=0.0, max_iters=50, rel_tol=1e-13,
                              seed=seed)
         plain = train_nmf(X, config)
-        reduced = train_csnmf(X, S, config)
+        reduced = train_csnmf(X, graph_of(S), config)
         assert np.array_equal(plain.U, reduced.U)
         assert np.array_equal(plain.V, reduced.V)
         assert np.array_equal(plain.objective_trace, reduced.objective_trace)
@@ -197,7 +198,7 @@ def planted_sweep(tmp_path_factory):
     out_dir = tmp_path_factory.mktemp("planted")
     spec = SyntheticSpec(n_compounds=2000, n_targets=200, n_clusters=5,
                          labels_per_compound=8, pool_size=16,
-                         targets_per_compound=(10, 20), potent_fraction=0.35,
+                         targets_per_compound=(10, 20),
                          label_noise=0.10, activity_noise=0.30)
     paths, _ = generate_synthetic(spec, out_dir, seed=1)
     corpus = load_corpus(paths.compounds, paths.labels, paths.activities)

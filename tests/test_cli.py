@@ -258,6 +258,32 @@ class TestNoir:
         errors = [line for line in err.splitlines() if line.startswith("ERROR")]
         assert len(errors) == 1 and "must be finite" in errors[0]
 
+    @pytest.mark.parametrize("case", ["copied", "unknown"])
+    def test_edited_file_of_another_source_is_config_error(
+            self, data_dir, tmp_path, capsys, case):
+        """Every edited file is checked before anything is written: one
+        holding another source's rows is a usage error, whichever the
+        source and wherever it comes in --sources."""
+        first = tmp_path / "first"
+        args = ["noir", "--data-dir", str(data_dir), "--target", "T0000",
+                "--activity-type", "IC50", "--sources", "OC,CF"]
+        assert main(args + ["--out-dir", str(first)]) == 0
+        oc, cf = first / "reference_OC.tsv", first / "reference_CF.tsv"
+        if case == "copied":
+            cf.write_text(oc.read_text())
+        else:
+            cf.write_text(cf.read_text().replace("\tCF\t", "\tXX\t"))
+        capsys.readouterr()
+        out_dir = tmp_path / "second"
+        code = main(args + ["--edited-references", str(first),
+                            "--out-dir", str(out_dir)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "Traceback" not in err
+        errors = [line for line in err.splitlines() if line.startswith("ERROR")]
+        assert len(errors) == 1 and "reference_CF.tsv" in errors[0]
+        assert not out_dir.exists() or not os.listdir(out_dir)
+
 
 class TestTrainEvaluateRecommend:
 

@@ -306,6 +306,17 @@ class TestChunkBoundaries:
                            match=f"compounds.tsv:{len(preamble) + 1}: missing header"):
             load_corpus(*paths)
 
+    @pytest.mark.parametrize("text, at", [
+        ("", 1), ("# a comment\n\n  \n", 4), ("# a comment\r\n\t", 3)],
+        ids=["empty", "comments-and-blanks", "no-final-newline"])
+    def test_compounds_file_without_header_rejected(self, tmp_path, text, at):
+        # reported at the line after the file's last
+        paths = _write_files(tmp_path, *_chunk_rows())
+        paths[0].write_bytes(text.encode())
+        with pytest.raises(FormatError,
+                           match=f"compounds.tsv:{at}: missing header"):
+            load_corpus(*paths)
+
     def test_hash_row_in_later_chunk(self, tmp_path):
         rows = _chunk_rows()
         paths = _write_files(tmp_path, *rows)

@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from helpers import triple_folds, triple_training_matrix
+from helpers import graph_of, triple_folds, triple_training_matrix
 
 from repurpose import (
     EvalError,
+    FactorizationError,
     FactorModel,
     TrainConfig,
     cross_validate,
@@ -377,6 +378,7 @@ class TestCrossValidate:
         config = TrainConfig(rank=3, lam=0.0, max_iters=30, seed=2)
         S = np.zeros((40, 40))
         S[0, 1] = S[1, 0] = 1.0
+        S = graph_of(S)
         plain = cross_validate(X, config, S=None, n_folds=3, k_list=(3, 5),
                                sample_size=30, min_train_targets=1,
                                min_test_targets=1, seed=4)
@@ -455,6 +457,23 @@ class TestCrossValidate:
         with pytest.raises(ValueError):
             cross_validate(X, TrainConfig(rank=2, max_iters=5), **kwargs)
 
+    @pytest.mark.parametrize("kind", ["ndarray", "scipy"])
+    def test_raw_similarity_rejected_before_training(self, kind, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("a fold was trained")
+
+        monkeypatch.setattr(evaluation, "train_nmf", never)
+        monkeypatch.setattr(evaluation, "rmse", never)
+        S = np.zeros((20, 20))
+        S[0, 1] = S[1, 0] = 1.0
+        if kind == "scipy":
+            S = sp.csr_matrix(S)
+        X = planted_matrix(np.random.default_rng(36), n=20, m=8)
+        with pytest.raises(FactorizationError, match="SimilarityMatrix"):
+            cross_validate(X, TrainConfig(rank=2, lam=0.1, max_iters=5), S=S,
+                           n_folds=3, k_list=(3,), sample_size=10,
+                           min_train_targets=1, min_test_targets=1)
+
     def test_fold_steps_called_through_module_globals(self, monkeypatch):
         # a benchmark times each step by patching these names, and marks a
         # fold's start at its one training_matrix call
@@ -469,6 +488,7 @@ class TestCrossValidate:
         X = planted_matrix(np.random.default_rng(34), n=30, m=9)
         S = np.zeros((30, 30))
         S[0, 1] = S[1, 0] = 1.0
+        S = graph_of(S)
         for similarity, trainer in ((None, "train_nmf"), (S, "train_csnmf")):
             calls.clear()
             cross_validate(X, TrainConfig(rank=2, lam=0.1, max_iters=5),

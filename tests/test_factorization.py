@@ -2,7 +2,12 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from helpers import compound_order_csr, objective, oracle_interaction_matrix
+from helpers import (
+    compound_order_csr,
+    graph_of,
+    objective,
+    oracle_interaction_matrix,
+)
 
 from repurpose import (
     Corpus,
@@ -259,7 +264,7 @@ class TestTrainCsnmf:
         config = TrainConfig(rank=4, lam=0.0, max_iters=40, rel_tol=1e-12,
                              seed=9)
         plain = train_nmf(X, config)
-        regularized = train_csnmf(X, S, config)
+        regularized = train_csnmf(X, graph_of(S), config)
         assert np.array_equal(plain.U, regularized.U)
         assert np.array_equal(plain.V, regularized.V)
         assert np.array_equal(plain.objective_trace,
@@ -272,7 +277,7 @@ class TestTrainCsnmf:
             S = random_symmetric(rng, 40, density=0.2)
             config = TrainConfig(rank=5, lam=0.4, max_iters=60, rel_tol=1e-12,
                                  seed=seed)
-            trace = train_csnmf(X, S, config).objective_trace
+            trace = train_csnmf(X, graph_of(S), config).objective_trace
             assert np.all(np.diff(trace) <= trace[:-1] * 1e-9)
 
     def test_similar_pair_pulled_together(self):
@@ -287,7 +292,7 @@ class TestTrainCsnmf:
         base = TrainConfig(rank=4, lam=0.0, max_iters=150, rel_tol=1e-12, seed=2)
         strong = TrainConfig(rank=4, lam=1.0, max_iters=150, rel_tol=1e-12, seed=2)
         plain = train_nmf(X, base)
-        regularized = train_csnmf(X, S, strong)
+        regularized = train_csnmf(X, graph_of(S), strong)
         gap_plain = np.linalg.norm(plain.U[0] - plain.U[1])
         gap_reg = np.linalg.norm(regularized.U[0] - regularized.U[1])
         assert gap_reg < gap_plain
@@ -299,7 +304,7 @@ class TestTrainCsnmf:
         config = TrainConfig(rank=3, lam=0.8, max_iters=120, rel_tol=1e-12,
                              seed=6)
         plain = train_nmf(X, config)
-        regularized = train_csnmf(X, S, config)
+        regularized = train_csnmf(X, graph_of(S), config)
 
         def penalty(U):
             rows, cols = np.triu_indices_from(S, k=1)
@@ -329,13 +334,13 @@ class TestTrainCsnmf:
             denom = max(abs(numeric), abs(analytic[i, j]), 1e-12)
             assert abs(numeric - analytic[i, j]) / denom < 1e-4
 
-    @pytest.mark.parametrize("variant", ["nmf", "similarity-matrix", "ndarray"])
+    @pytest.mark.parametrize("variant", ["nmf", "similarity-matrix"])
     def test_trace_matches_reference_objective(self, variant):
         rng = np.random.default_rng(45)
         X = random_sparse(rng, 30, 12)
         dense = random_symmetric(rng, 30, density=0.3)
         rows, cols = np.nonzero(np.triu(dense, k=1))
-        S = {"nmf": None, "ndarray": dense,
+        S = {"nmf": None,
              "similarity-matrix": SimilarityMatrix(
                  [str(i) for i in range(30)], rows, cols, dense[rows, cols]),
              }[variant]
@@ -358,20 +363,24 @@ class TestTrainCsnmf:
             train_csnmf(np.ones((3, 3)), None, TrainConfig(rank=1))
 
     def test_shape_mismatch_rejected(self):
-        with pytest.raises(FactorizationError):
-            train_csnmf(np.ones((4, 3)), np.zeros((3, 3)),
+        with pytest.raises(FactorizationError, match="index"):
+            train_csnmf(np.ones((4, 3)), graph_of(np.zeros((3, 3))),
                         TrainConfig(rank=1, lam=0.1))
 
-    def test_asymmetric_similarity_rejected(self):
+    @pytest.mark.parametrize("kind", ["ndarray", "scipy"])
+    @pytest.mark.parametrize("lam", [0.0, 0.1])
+    def test_raw_similarity_rejected_before_training(self, kind, lam):
         S = np.zeros((4, 4))
-        S[0, 1] = 0.5
-        with pytest.raises(FactorizationError, match="symmetric"):
-            train_csnmf(np.ones((4, 3)), S, TrainConfig(rank=1, lam=0.1))
+        S[0, 1] = S[1, 0] = 0.5
+        if kind == "scipy":
+            S = sp.csr_matrix(S)
 
-    def test_nonzero_diagonal_rejected(self):
-        S = np.eye(4)
-        with pytest.raises(FactorizationError, match="diagonal"):
-            train_csnmf(np.ones((4, 3)), S, TrainConfig(rank=1, lam=0.1))
+        def never(*args):
+            raise AssertionError("an iteration ran")
+
+        with pytest.raises(FactorizationError, match="SimilarityMatrix"):
+            train_csnmf(np.ones((4, 3)), S, TrainConfig(rank=1, lam=lam),
+                        on_iteration=never)
 
     def test_similarity_matrix_index_mismatch_rejected(self, make_corpus):
         corpus = make_corpus(
@@ -421,7 +430,7 @@ class TestTrainCsnmf:
         config = TrainConfig(rank=3, lam=0.4, max_iters=15, rel_tol=1e-12,
                              seed=2)
         ordered = train_csnmf(X, S, config)
-        plain = train_csnmf(X.matrix, compound_order_csr(S), config)
+        plain = train_csnmf(X.matrix, graph_of(compound_order_csr(S)), config)
         assert len(ordered.objective_trace) == len(plain.objective_trace)
         for name in ("U", "V", "objective_trace"):
             np.testing.assert_allclose(getattr(ordered, name),
@@ -439,7 +448,7 @@ class TestTrainCsnmf:
                             shape=(2, 3))
         arrays = [a.copy() for a in (raw.data, raw.indices, raw.indptr)]
         config = TrainConfig(rank=1, lam=0.3, max_iters=3, seed=1)
-        S = np.array([[0.0, 0.5], [0.5, 0.0]])
+        S = graph_of(np.array([[0.0, 0.5], [0.5, 0.0]]))
         if train == "nmf":
             got, want = (train_nmf(x, config)
                          for x in (raw, raw.toarray()))
@@ -504,7 +513,7 @@ class TestModelIO:
         config = TrainConfig(rank=3, lam=0.25, max_iters=40, rel_tol=1e-7,
                              seed=123)
         S = random_symmetric(rng, 15, density=0.2)
-        model = train_csnmf(X, S, config)
+        model = train_csnmf(X, graph_of(S), config)
         path = tmp_path / "model.tsv"
         save_model(model, path)
         loaded = load_model(path)

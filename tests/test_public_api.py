@@ -13,6 +13,12 @@ would pass on any read of that attribute, so it counts as called only when
 attribute.  Tests do not count, so code that only tests reach shows up
 here.  A name kept on purpose without such a caller goes on
 `UNCALLED_ALLOWED` with the reason it stays.
+
+The same scan checks that every field of the configuration dataclasses in
+`CONFIGS` is set by some caller: passed by keyword to a call of the class,
+or to a call that takes the class as an argument (the CLI builds configs
+through such a helper).  A field that only its default ever fills is a
+constant; one kept on purpose goes on `UNSET_ALLOWED` with the reason.
 """
 
 import ast
@@ -31,6 +37,13 @@ UNCALLED_ALLOWED = {
     "corpus.Corpus.smiles_of":
         "the only reader of the compounds file's SMILES column",
 }
+
+# "module.Class" of each configuration dataclass whose fields are checked.
+CONFIGS = ("factorization.TrainConfig", "noir.ReferenceSetConfig",
+           "synthetic.SyntheticSpec")
+
+# "module.Class.field" -> why it stays though no caller sets it.
+UNSET_ALLOWED = {}
 
 BUILTIN_ATTRIBUTES = frozenset().union(
     *(dir(kind) for kind in (dict, list, set, str, tuple, np.ndarray)))
@@ -76,36 +89,66 @@ def _from_package(node, path):
     return any(alias.name.split(".")[0] == "repurpose" for alias in node.names)
 
 
+def caller_trees():
+    """(path, parsed module) of every scanned source file, tests left out."""
+    for directory in CALLER_DIRS:
+        for path in sorted(directory.rglob("*.py")):
+            if "tests" not in path.relative_to(directory).parts:
+                yield path, ast.parse(path.read_text(encoding="utf-8"))
+
+
 def references():
     """({name: [(file, line)]} of package-level uses, {name: [(file, line)]}
     of attribute uses) over every scanned source file."""
     bare, attributes = {}, {}
-    for directory in CALLER_DIRS:
-        for path in sorted(directory.rglob("*.py")):
-            if "tests" in path.relative_to(directory).parts:
-                continue
-            tree = ast.parse(path.read_text(encoding="utf-8"))
-            known = {node.name for node in tree.body
-                     if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
-            foreign = set()
-            for node in ast.walk(tree):
-                if isinstance(node, (ast.Import, ast.ImportFrom)):
-                    (known if _from_package(node, path) else foreign).update(
-                        (alias.asname or alias.name).split(".")[0]
-                        for alias in node.names)
-            for node in ast.walk(tree):
-                if isinstance(node, ast.Name) and node.id in known:
-                    bare.setdefault(node.id, []).append((path, node.lineno))
-                elif isinstance(node, ast.Attribute):
-                    owner = getattr(node.value, "id", None)
-                    # np.mean is not a call of a method named mean
-                    if owner not in foreign:
-                        attributes.setdefault(node.attr, []).append(
-                            (path, node.lineno))
-                    if owner in known:
-                        bare.setdefault(node.attr, []).append(
-                            (path, node.lineno))
+    for path, tree in caller_trees():
+        known = {node.name for node in tree.body
+                 if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+        foreign = set()
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                (known if _from_package(node, path) else foreign).update(
+                    (alias.asname or alias.name).split(".")[0]
+                    for alias in node.names)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and node.id in known:
+                bare.setdefault(node.id, []).append((path, node.lineno))
+            elif isinstance(node, ast.Attribute):
+                owner = getattr(node.value, "id", None)
+                # np.mean is not a call of a method named mean
+                if owner not in foreign:
+                    attributes.setdefault(node.attr, []).append(
+                        (path, node.lineno))
+                if owner in known:
+                    bare.setdefault(node.attr, []).append(
+                        (path, node.lineno))
     return bare, attributes
+
+
+def _named(node):
+    return getattr(node, "id", None) or getattr(node, "attr", None)
+
+
+def unset_fields():
+    """The "module.Class.field" of each field of a `CONFIGS` class that no
+    scanned call passes by keyword."""
+    fields, passed = {}, {}
+    for qualified in CONFIGS:
+        module, name = qualified.split(".")
+        tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+        body = next(node.body for node in tree.body
+                    if isinstance(node, ast.ClassDef) and node.name == name)
+        fields[name] = [(f"{qualified}.{node.target.id}", node.target.id)
+                        for node in body if isinstance(node, ast.AnnAssign)]
+        passed[name] = set()
+    for _, tree in caller_trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                for name in {_named(node.func), *map(_named, node.args)}:
+                    if name in passed:
+                        passed[name].update(k.arg for k in node.keywords)
+    return sorted(qualified for name, named in fields.items()
+                  for qualified, field in named if field not in passed[name])
 
 
 def uncalled():
@@ -137,3 +180,11 @@ def test_colliding_callers_name_colliding_methods():
     for qualified in COLLIDING_CALLERS:
         assert qualified in methods
         assert qualified.rsplit(".", 1)[1] in BUILTIN_ATTRIBUTES
+
+
+def test_every_config_field_is_set_by_a_caller():
+    assert [name for name in unset_fields() if name not in UNSET_ALLOWED] == []
+
+
+def test_unset_allowlist_names_existing_unset_fields():
+    assert sorted(set(UNSET_ALLOWED) - set(unset_fields())) == []

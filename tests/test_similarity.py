@@ -7,6 +7,7 @@ import scipy.sparse as sp
 from helpers import (
     bit_matrix_similarity,
     compound_order_csr,
+    graph_of,
     jaccard,
     oracle_jaccard_pairs,
     stored_order_product,
@@ -21,7 +22,6 @@ from repurpose import (
     similarity,
     train_csnmf,
 )
-from repurpose.factorization import _similarity_graph
 
 
 class TestJaccard:
@@ -168,6 +168,11 @@ class TestBuildSimilarityMatrix:
         assert sparse.n_pairs == 1
         assert sparse.get(matrix.compounds[3], matrix.compounds[1]) == 0.75
 
+    @pytest.mark.parametrize("bad", [-0.9, -1e-300, np.nan, np.inf])
+    def test_negative_or_non_finite_weight_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            SimilarityMatrix(["a", "b", "c"], [0, 1], [1, 2], [0.5, bad])
+
 
 class TestLabelMatrixRows:
     """The graph reads the corpus's label matrix in row blocks; it must equal
@@ -241,7 +246,7 @@ class TestStoredOrderProduct:
     """S U and the degrees are summed in the graph's stored order: each
     stored row's terms below the diagonal, then those above it.  They must
     equal the plain-loop reference float for float, on built graphs and on
-    raw matrices."""
+    raw matrices built into graphs by the constructor."""
 
     @staticmethod
     def assert_matches_reference(graph, rng, S=None):
@@ -300,8 +305,7 @@ class TestStoredOrderProduct:
             S = upper + upper.T
             if kind == "scipy":
                 S = sp.coo_matrix(S)
-            compounds = tuple(str(i) for i in range(n))
-            graph = _similarity_graph(S, np.ones((n, 1)), compounds)
+            graph = graph_of(S)
             assert np.array_equal(graph._order, np.arange(n))
             self.assert_matches_reference(graph, rng, S)
 

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from helpers import oracle_jaccard_pairs
@@ -79,6 +81,26 @@ class TestGeneration:
         for label in corpus.source_labels("MORGAN"):
             int(label)  # must parse as a bit id
 
+    def test_files_pinned_by_digest(self, tmp_path):
+        """A change to the generator that moves a byte, or an RNG draw,
+        fails here."""
+        spec = SyntheticSpec(n_compounds=60, n_targets=12, n_clusters=3,
+                             sources=("CF", "OC", "MORGAN"), label_noise=0.3,
+                             activity_noise=0.3)
+        paths, _ = generate_synthetic(spec, tmp_path, seed=5)
+        digests = {name: hashlib.sha256(open(path, "rb").read()).hexdigest()
+                   for name, path in paths._asdict().items()}
+        assert digests == {
+            "compounds": "e5cbe491c84714c4fe039ca3290ca6a5"
+                         "69c8ae12fdb90ad7cdd5a5be973d0481",
+            "labels": "19ea3deb4a16b06a5e40b58de6078725"
+                      "487f47664292b6b31cdc7703cfc7fb6f",
+            "activities": "c42950d338bfdffa5a4a8d0107745d79"
+                          "2bc073a9e35744dab99568b99e14d835",
+            "clusters": "7692a783110b496e6da6e77f42812f25"
+                        "df43d97936ca683408a14e86dfcc2f96",
+        }
+
     def test_inconsistent_spec_rejected(self):
         with pytest.raises(ValueError):
             SyntheticSpec(n_compounds=5, n_targets=10, n_clusters=8)
@@ -87,6 +109,10 @@ class TestGeneration:
         with pytest.raises(ValueError):
             SyntheticSpec(n_compounds=50, n_targets=50, n_clusters=4,
                           labels_per_compound=20, pool_size=10)
+        for too_few in (0, 1):  # below the two core labels of each pool
+            with pytest.raises(ValueError, match="core labels"):
+                SyntheticSpec(n_compounds=50, n_targets=50, n_clusters=4,
+                              labels_per_compound=too_few)
 
     def test_cluster_map_matches_round_robin(self, tmp_path):
         _, truth = generate_synthetic(SMALL, tmp_path, seed=4)
