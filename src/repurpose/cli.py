@@ -258,7 +258,8 @@ def _log_iteration():
     return on_iteration
 
 
-def _train_model(corpus, args):
+def cmd_train(args):
+    corpus = _load(args.data_dir)
     config = _train_config(args)
     source = _similarity_source(args.similarity, corpus)
     interactions = build_interaction_matrix(corpus, args.activity_type)
@@ -269,12 +270,6 @@ def _train_model(corpus, args):
                                        args.sim_threshold)
         model = train_csnmf(interactions, similarity, config,
                             on_iteration=_log_iteration())
-    return interactions, model
-
-
-def cmd_train(args):
-    corpus = _load(args.data_dir)
-    _, model = _train_model(corpus, args)
     save_model(model, args.out)
     print(f"model\t{args.out}")
     print(f"shape\t{model.U.shape[0]}x{model.V.shape[0]}\trank\t{model.rank}")

@@ -1,7 +1,8 @@
 """Cross-validation protocol: fold splitting, RMSE, and recall-at-k.
 
-A fold is a mask over the stored entries of the interaction matrix's
-canonical CSR; it cuts both the held-out CSR and the training matrix from
+The interaction matrix X is an InteractionMatrix here, and so is every
+matrix cut from it.  A fold is a mask over the stored entries of X's
+canonical CSR; it cuts both the held-out matrix and the training matrix from
 X.  Recall-at-k samples test compounds that have enough targets on both
 sides of the split, ranks all targets for each, and reports mean and
 population standard deviation of the per-compound recall.  Fold runs are
@@ -18,19 +19,20 @@ import scipy.sparse as sp
 from .errors import EvalError
 from .factorization import (
     InteractionMatrix,
-    _as_csr,
+    _csr_of,
+    _similarity_graph,
     train_csnmf,
     train_nmf,
 )
 
 
 def _masked_entries(X, mask):
-    """X's canonical CSR cut to the stored entries under a boolean mask."""
-    csr = _as_csr(X)
+    """X cut to the stored entries of its CSR under a boolean mask."""
+    csr = _csr_of(X)
     indptr = np.concatenate(([0], np.cumsum(mask)))[csr.indptr]
-    return sp.csr_matrix(
+    return InteractionMatrix(X.compounds, X.targets, sp.csr_matrix(
         (csr.data[mask], csr.indices[mask], indptr.astype(csr.indptr.dtype)),
-        shape=csr.shape)
+        shape=csr.shape))
 
 
 @dataclass(frozen=True, eq=False)
@@ -50,7 +52,7 @@ def split_folds(X, n_folds=5, seed=0):
     """Randomly partition the stored entries of X into `n_folds` folds."""
     if n_folds < 2:
         raise ValueError("n_folds must be at least 2")
-    nnz = _as_csr(X).nnz
+    nnz = _csr_of(X).nnz
     if nnz < n_folds:
         raise EvalError(f"need at least {n_folds} stored entries, have {nnz}")
     rng = np.random.default_rng(seed)
@@ -61,22 +63,15 @@ def split_folds(X, n_folds=5, seed=0):
 
 
 def training_matrix(X, held_out_mask):
-    """Copy of X without the stored entries that the boolean array
-    `held_out_mask` marks, over X's canonical CSR as `FoldSplit.fold` is.
-
-    Returns the same container kind as X: an InteractionMatrix stays an
-    InteractionMatrix (indexes preserved), anything else becomes CSR.
-    """
-    trimmed = _masked_entries(X, ~held_out_mask)
-    if isinstance(X, InteractionMatrix):
-        return InteractionMatrix(X.compounds, X.targets, trimmed)
-    return trimmed
+    """Copy of X, ids kept, without the stored entries that the boolean array
+    `held_out_mask` marks, over X's canonical CSR as `FoldSplit.fold` is."""
+    return _masked_entries(X, ~held_out_mask)
 
 
 def rmse(model, held_out):
     """Root mean square error of the model on the stored entries of the
     held-out matrix, in stored order; never on its zeros."""
-    coo = _as_csr(held_out).tocoo()
+    coo = _csr_of(held_out).tocoo()
     if not coo.nnz:
         raise EvalError("held-out set is empty")
     preds = np.einsum("ij,ij->i", model.U[coo.row], model.V[coo.col])
@@ -124,7 +119,7 @@ def recall_at_k(model, train_X, test_X, k_list=(30, 50, 100),
     """
     k_list = _recall_arguments(k_list, sample_size, min_train_targets,
                                min_test_targets)
-    train_csr, test_csr = _as_csr(train_X), _as_csr(test_X)
+    train_csr, test_csr = _csr_of(train_X), _csr_of(test_X)
     eligible = np.flatnonzero((np.diff(train_csr.indptr) >= min_train_targets)
                               & (np.diff(test_csr.indptr) >= min_test_targets))
     if not len(eligible):
@@ -181,13 +176,13 @@ def cross_validate(X, config, S=None, n_folds=5, k_list=(30, 50, 100),
     """Run the full protocol: split, train per fold, score RMSE and recall.
 
     Trains the similarity-regularized model when `S`, a SimilarityMatrix
-    over X's rows, is given and `config.lam` > 0, plain NMF otherwise.
-    Per-compound recalls are pooled across folds before the mean/std summary.
+    over `X.compounds` checked at any `lam`, is given and `config.lam` > 0,
+    plain NMF otherwise.  Per-compound recalls are pooled across folds.
     """
     k_list = _recall_arguments(k_list, sample_size, min_train_targets,
                                min_test_targets)
     split = split_folds(X, n_folds=n_folds, seed=seed)
-    regularized = S is not None and config.lam > 0
+    regularized = _similarity_graph(S, X) is not None and config.lam > 0
     if label is None:
         label = "CS-NMF" if regularized else "NMF"
 

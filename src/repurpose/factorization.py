@@ -81,11 +81,31 @@ class TrainConfig:
 
 @dataclass(frozen=True, eq=False)
 class InteractionMatrix:
-    """Sparse nonnegative compound x target matrix of transformed activities."""
+    """Sparse nonnegative compound x target matrix of transformed activities,
+    the one form of X the trainers and cross-validation take.  Its
+    constructor raises ValueError unless `matrix` is a canonical scipy CSR
+    (sorted indices, no duplicates) of shape (len(compounds), len(targets)),
+    no id repeats, and every stored value is finite and non-negative."""
 
     compounds: tuple[str, ...]
     targets: tuple[str, ...]
     matrix: sp.csr_matrix
+
+    def __post_init__(self):
+        matrix = self.matrix
+        if not (sp.issparse(matrix) and matrix.format == "csr"
+                and matrix.has_canonical_format):
+            raise ValueError("matrix must be a scipy CSR with sorted indices "
+                             "and no duplicate entries")
+        if matrix.shape != (len(self.compounds), len(self.targets)):
+            raise ValueError(f"matrix shape {matrix.shape} does not match "
+                             f"{len(self.compounds)} compound ids by "
+                             f"{len(self.targets)} target ids")
+        if any(len(set(ids)) != len(ids)
+               for ids in (self.compounds, self.targets)):
+            raise ValueError("compound ids and target ids must each be unique")
+        if not (np.isfinite(matrix.data) & (matrix.data >= 0)).all():
+            raise ValueError("interaction values must be finite and non-negative")
 
     @property
     def shape(self):
@@ -134,21 +154,18 @@ def build_interaction_matrix(corpus, activity_types="IC50"):
 
 # -- matrix plumbing ---------------------------------------------------------
 
-def _as_csr(X):
-    """Accept an InteractionMatrix, scipy sparse, or dense array; return a
-    CSR with sorted columns and no duplicates.  The caller's matrix is
-    never changed: one that lacks that form is copied."""
-    if isinstance(X, InteractionMatrix):
-        csr = X.matrix
-    elif sp.issparse(X):
-        csr = X.tocsr()
-    else:
-        return sp.csr_matrix(np.asarray(X, dtype=np.float64))
-    return csr if csr.has_canonical_format else csr.tocoo().tocsr()
+def _csr_of(X):
+    """The CSR of X, which must be an InteractionMatrix."""
+    if not isinstance(X, InteractionMatrix):
+        raise FactorizationError(
+            "the interaction matrix must be an InteractionMatrix, not "
+            f"{type(X).__name__}; wrap a CSR as "
+            "InteractionMatrix(compounds, targets, csr)")
+    return X.matrix
 
 
-def _similarity_graph(S, X, n_rows):
-    """Check that S is None or a SimilarityMatrix over X's rows; return it."""
+def _similarity_graph(S, X):
+    """Check that S is None or a SimilarityMatrix over X.compounds; return it."""
     if S is None:
         return None
     if not isinstance(S, SimilarityMatrix):
@@ -156,11 +173,10 @@ def _similarity_graph(S, X, n_rows):
             "the similarity graph must be a SimilarityMatrix, not "
             f"{type(S).__name__}; wrap a symmetric matrix's upper triangle as "
             "SimilarityMatrix(compounds, rows, cols, values)")
-    if (S.compounds != X.compounds if isinstance(X, InteractionMatrix)
-            else S.n_compounds != n_rows):
+    if S.compounds != X.compounds:
         raise FactorizationError(
             f"similarity matrix compound index ({S.n_compounds} compounds) "
-            f"does not match the {n_rows} interaction matrix rows")
+            f"does not match the {len(X.compounds)} interaction matrix rows")
     return S
 
 
@@ -221,19 +237,12 @@ class FactorModel:
 
 
 def _train_core(X, S, lam, config, on_iteration):
-    X_csr = _as_csr(X)
+    X_csr = _csr_of(X)
     n, m = X_csr.shape
     if config.rank > min(n, m):
         raise FactorizationError(
             f"rank {config.rank} exceeds min(rows, cols) = {min(n, m)}")
-    if X_csr.nnz and X_csr.data.min() < 0:
-        raise FactorizationError("input matrix must be nonnegative")
-    if isinstance(X, InteractionMatrix):
-        compounds, targets = X.compounds, X.targets
-    else:  # ids synthesized for a raw matrix
-        compounds = tuple(str(i) for i in range(n))
-        targets = tuple(str(j) for j in range(m))
-    graph = _similarity_graph(S, X, n)
+    graph = _similarity_graph(S, X)
     regularize = lam > 0.0 and graph is not None
 
     rng = np.random.default_rng(config.seed)
@@ -289,13 +298,14 @@ def _train_core(X, S, lam, config, on_iteration):
             break
 
     return FactorModel(
-        U=U, V=V, compounds=compounds, targets=targets, config=config,
+        U=U, V=V, compounds=X.compounds, targets=X.targets, config=config,
         objective_trace=np.asarray(trace), converged=converged,
         regularized=regularize)
 
 
 def train_nmf(X, config, on_iteration=None):
-    """Train plain NMF by alternating multiplicative updates.
+    """Train plain NMF of an InteractionMatrix X by alternating
+    multiplicative updates; the model keeps X's compound and target ids.
 
     U <- U * (X V) / (U V^T V + eps);  V <- V * (X^T U) / (V U^T U + eps).
     Factors are initialized uniform-random in (0, 1] from `config.seed`, so
@@ -306,10 +316,9 @@ def train_nmf(X, config, on_iteration=None):
 
 
 def train_csnmf(X, S, config, on_iteration=None):
-    """Train similarity-regularized NMF.
+    """Train similarity-regularized NMF of an InteractionMatrix X.
 
-    S is a SimilarityMatrix over X's rows: over `X.compounds` for an
-    InteractionMatrix, of X's row count otherwise.  With D the diagonal
+    S is a SimilarityMatrix over `X.compounds`.  With D the diagonal
     row-sum of S, the compound-side update becomes
     U <- U * (X V + lam S U) / (U V^T V + lam D U + eps); the target side is
     unchanged.  With lam = 0 this reproduces :func:`train_nmf` exactly,

@@ -8,10 +8,10 @@ are the one-label and one-compound forms of NOIR's array scoring.
 builds the Jaccard graph compound by compound from `labels_of`, the route
 the label matrix replaced.  `objective` sums the similarity penalty pair by
 pair, the reference for the trainer's Laplacian-form trace, over a raw
-symmetric S or a graph's `compound_order_csr`; `graph_of` wraps a raw S for
-the trainers.  `stored_order_product` sums S U with plain
-loops in the graph's stored order, the reference for its product and its
-degrees.
+symmetric S or a graph's `compound_order_csr`; `graph_of` wraps a raw S and
+`matrix_of` a raw X for the trainers.  `stored_order_product` sums S U with
+plain loops in the graph's stored order, the reference for its product and
+its degrees.
 `triple_folds` and `triple_training_matrix` hold each cross-validation fold
 as (row, col, value) triples, the reference for the fold-id array and the
 masks cut from it.
@@ -20,8 +20,8 @@ masks cut from it.
 import numpy as np
 import scipy.sparse as sp
 
-from repurpose import EvalError, SimilarityMatrix
-from repurpose.factorization import _as_csr, _objective_from_products
+from repurpose import EvalError, InteractionMatrix, SimilarityMatrix
+from repurpose.factorization import _objective_from_products
 
 # Pairwise-penalty evaluation is chunked to bound peak memory on large
 # similarity graphs.
@@ -261,9 +261,10 @@ def objective(X, U, V, S=None, lam=0.0):
     gradient with respect to U exactly lam * (D - S) U.  Summed pair by
     pair, it is the reference for the trainer's Laplacian-form trace.  S is
     a SimilarityMatrix or a symmetric dense or scipy matrix, whose upper
-    triangle is summed as it stands.
+    triangle is summed as it stands.  X is an InteractionMatrix or a dense or
+    scipy matrix.
     """
-    X_csr = _as_csr(X)
+    X_csr = (X if isinstance(X, InteractionMatrix) else matrix_of(X)).matrix
     U = np.asarray(U, dtype=np.float64)
     V = np.asarray(V, dtype=np.float64)
     n, m = X_csr.shape
@@ -278,6 +279,17 @@ def objective(X, U, V, S=None, lam=0.0):
             S = compound_order_csr(S)
         value += _penalty_term(sp.csr_matrix(S), U, lam)
     return value
+
+
+def matrix_of(X):
+    """A dense or scipy matrix as an InteractionMatrix over compound ids "0",
+    "1", ... and target ids "0", "1", ..., built by the public constructor
+    from a canonical copy: duplicate entries summed, indices sorted, and the
+    caller's arrays left as they are."""
+    csr = sp.coo_matrix(X, dtype=np.float64).tocsr()
+    n, m = csr.shape
+    return InteractionMatrix(tuple(str(i) for i in range(n)),
+                             tuple(str(j) for j in range(m)), csr)
 
 
 def graph_of(S):
@@ -334,9 +346,9 @@ def stored_order_product(graph, U):
 
 
 def triple_folds(X, n_folds, seed):
-    """The folds of `split_folds(X, n_folds, seed)` as tuples of (row, col,
-    value) triples, each in row-major order."""
-    coo = _as_csr(X).tocoo()
+    """The folds of `split_folds(X, n_folds, seed)` for an InteractionMatrix X
+    as tuples of (row, col, value) triples, each in row-major order."""
+    coo = X.matrix.tocoo()
     order = np.lexsort((coo.col, coo.row))
     rows, cols, vals = coo.row[order], coo.col[order], coo.data[order]
     nnz = len(vals)
@@ -352,16 +364,15 @@ def triple_folds(X, n_folds, seed):
 
 
 def triple_training_matrix(X, held_out):
-    """CSR of X without the (row, col) pairs of the held-out triples, built
-    afresh from the kept entries."""
-    csr = _as_csr(X)
-    coo = csr.tocoo()
-    m = csr.shape[1]
+    """The InteractionMatrix X without the (row, col) pairs of the held-out
+    triples, its CSR built afresh from the kept entries."""
+    coo = X.matrix.tocoo()
+    m = coo.shape[1]
     keys = coo.row.astype(np.int64) * m + coo.col
     drop = np.asarray([i * m + j for i, j, _ in held_out], dtype=np.int64)
     keep = ~np.isin(keys, drop)
-    return sp.csr_matrix(
-        (coo.data[keep], (coo.row[keep], coo.col[keep])), shape=csr.shape)
+    return InteractionMatrix(X.compounds, X.targets, sp.csr_matrix(
+        (coo.data[keep], (coo.row[keep], coo.col[keep])), shape=coo.shape))
 
 
 def write_corpus_files(directory, compounds, label_rows, activity_rows):

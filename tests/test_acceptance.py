@@ -12,6 +12,7 @@ import pytest
 
 from helpers import (
     graph_of,
+    matrix_of,
     objective,
     oracle_doc_scores,
     oracle_reference,
@@ -136,7 +137,7 @@ def test_criterion_3_nmf_monotone_nonnegative():
             assert (U >= 0.0).all() and (V >= 0.0).all()
 
         config = TrainConfig(rank=6, max_iters=80, rel_tol=1e-13, seed=seed)
-        model = train_nmf(X, config, on_iteration=check)
+        model = train_nmf(matrix_of(X), config, on_iteration=check)
         trace = model.objective_trace
         assert np.all(np.diff(trace) <= trace[:-1] * 1e-9)
     report(3, "objective non-increasing and factors >= 0 on 10 seeds")
@@ -146,7 +147,7 @@ def test_criterion_4_reduction_bit_identical():
     """lambda = 0 similarity-regularized training equals plain training bit
     for bit on a 100x30 instance for 5 seeds."""
     rng = np.random.default_rng(88)
-    X = rng.random((100, 30)) * (rng.random((100, 30)) < 0.3) * 6.0
+    X = matrix_of(rng.random((100, 30)) * (rng.random((100, 30)) < 0.3) * 6.0)
     upper = np.triu(rng.random((100, 100)) * (rng.random((100, 100)) < 0.05),
                     k=1)
     S = upper + upper.T

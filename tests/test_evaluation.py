@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from helpers import graph_of, triple_folds, triple_training_matrix
+from helpers import graph_of, matrix_of, triple_folds, triple_training_matrix
 
 from repurpose import (
     EvalError,
@@ -48,22 +48,25 @@ def planted_matrix(rng, n=60, m=12, clusters=3, density=0.6):
         while np.count_nonzero(X[i]) < 6:
             j = int(rng.integers(m))
             X[i, j] = rng.uniform(5.0, 10.0)
-    return sp.csr_matrix(X)
+    return matrix_of(X)
 
 
-def entries(matrix):
-    """(row, col, value) of every stored entry of a CSR, in stored order."""
+def entries(X):
+    """(row, col, value) of every stored entry of an InteractionMatrix, in
+    stored order."""
+    matrix = X.matrix
     rows = np.repeat(np.arange(matrix.shape[0]), np.diff(matrix.indptr))
     return list(zip(rows.tolist(), matrix.indices.tolist(),
                     matrix.data.tolist()))
 
 
-def held_out(triples, shape):
-    """A held-out CSR holding the given (row, col, value) triples."""
+def from_triples(triples, shape):
+    """An interaction matrix holding the given (row, col, value) triples."""
     rows, cols, values = zip(*triples) if triples else ((), (), ())
-    return sp.csr_matrix((np.asarray(values, dtype=np.float64),
-                          (np.asarray(rows, dtype=np.int64),
-                           np.asarray(cols, dtype=np.int64))), shape=shape)
+    return matrix_of(sp.csr_matrix((np.asarray(values, dtype=np.float64),
+                                    (np.asarray(rows, dtype=np.int64),
+                                     np.asarray(cols, dtype=np.int64))),
+                                   shape=shape))
 
 
 def fold_matrix(X, split, f):
@@ -71,7 +74,11 @@ def fold_matrix(X, split, f):
     return _masked_entries(X, split.fold == f)
 
 
-def assert_same_csr(actual, expected):
+def assert_same_matrix(actual, expected):
+    """Two InteractionMatrix objects hold the same ids and CSR arrays."""
+    assert (actual.compounds, actual.targets) == \
+        (expected.compounds, expected.targets)
+    actual, expected = actual.matrix, expected.matrix
     assert actual.shape == expected.shape
     for name in ("indptr", "indices", "data"):
         got, want = getattr(actual, name), getattr(expected, name)
@@ -82,13 +89,13 @@ def assert_same_csr(actual, expected):
 class TestSplitFolds:
 
     def test_even_split(self):
-        X = sp.csr_matrix(np.diag(np.arange(1.0, 11.0)))
+        X = matrix_of(np.diag(np.arange(1.0, 11.0)))
         split = split_folds(X, n_folds=5, seed=0)
         assert np.bincount(split.fold).tolist() == [2, 2, 2, 2, 2]
 
     def test_deterministic_under_seed(self):
         rng = np.random.default_rng(1)
-        X = sp.csr_matrix(rng.random((10, 10)) * (rng.random((10, 10)) < 0.4))
+        X = matrix_of(rng.random((10, 10)) * (rng.random((10, 10)) < 0.4))
         first = split_folds(X, n_folds=4, seed=9)
         second = split_folds(X, n_folds=4, seed=9)
         assert np.array_equal(first.fold, second.fold)
@@ -98,23 +105,23 @@ class TestSplitFolds:
     def test_partition_property(self):
         rng = np.random.default_rng(2)
         dense = rng.random((15, 8)) * (rng.random((15, 8)) < 0.5)
-        X = sp.csr_matrix(dense)
+        X = matrix_of(dense)
         for seed in range(4):
             split = split_folds(X, n_folds=5, seed=seed)
-            assert split.fold.shape == (X.nnz,)
+            assert split.fold.shape == (X.n_entries,)
             assert set(split.fold.tolist()) == set(range(5))
             seen = []
             for f in range(5):
                 seen.extend(entries(fold_matrix(X, split, f)))
-            assert len(seen) == len({(i, j) for i, j, _ in seen}) == X.nnz
-            coo = X.tocoo()
+            assert len(seen) == len({(i, j) for i, j, _ in seen}) == X.n_entries
+            coo = X.matrix.tocoo()
             assert {(i, j) for i, j, _ in seen} == \
                 set(zip(coo.row.tolist(), coo.col.tolist()))
             for i, j, value in seen:
                 assert dense[i, j] == value
 
     def test_too_few_entries_rejected(self):
-        X = sp.csr_matrix(np.eye(3))
+        X = matrix_of(np.eye(3))
         with pytest.raises(EvalError):
             split_folds(X, n_folds=5)
 
@@ -125,7 +132,7 @@ class TestSplitFolds:
                           [3.0, 0.0, 4.5, 0.0, 5.0],
                           [0.0, 6.0, 0.0, 0.0, 0.0],
                           [7.5, 8.0, 0.0, 9.0, 9.5]])
-        split = split_folds(sp.csr_matrix(dense), n_folds=3, seed=11)
+        split = split_folds(matrix_of(dense), n_folds=3, seed=11)
         assert split.fold.tolist() == [2, 0, 2, 1, 1, 0, 0, 2, 0, 1]
 
 
@@ -137,15 +144,7 @@ def random_matrix(rng):
     for i in np.flatnonzero(rng.random(n) < 0.2):
         dense[i] = 0.0
         dense[i, rng.integers(m)] = rng.uniform(1.0, 10.0)
-    return sp.csr_matrix(dense)
-
-
-def unsorted_copy(X, rng):
-    """The same matrix as X with each row's stored entries shuffled."""
-    order = np.concatenate([lo + rng.permutation(hi - lo) for lo, hi in
-                            zip(X.indptr[:-1], X.indptr[1:])])
-    return sp.csr_matrix((X.data[order], X.indices[order], X.indptr.copy()),
-                         shape=X.shape)
+    return matrix_of(dense)
 
 
 class TestFoldsMatchTriples:
@@ -158,7 +157,7 @@ class TestFoldsMatchTriples:
         assert split.n_folds == n_folds and split.seed == seed
         for f, triples in enumerate(reference):
             assert entries(fold_matrix(X, split, f)) == list(triples)
-            assert_same_csr(training_matrix(X, split.fold == f),
+            assert_same_matrix(training_matrix(X, split.fold == f),
                             triple_training_matrix(X, triples))
 
     def test_random_matrices(self):
@@ -166,52 +165,17 @@ class TestFoldsMatchTriples:
         shapes = {"empty row": 0, "one-entry row": 0, "n_folds == nnz": 0}
         for case in range(120):
             X = random_matrix(rng)
-            lengths = np.diff(X.indptr)
-            if X.nnz < 2:
+            lengths, nnz = np.diff(X.matrix.indptr), X.n_entries
+            if nnz < 2:
                 continue
             shapes["empty row"] += bool((lengths == 0).any())
             shapes["one-entry row"] += bool((lengths == 1).any())
-            n_folds = int(rng.integers(2, min(X.nnz, 7) + 1))
+            n_folds = int(rng.integers(2, min(nnz, 7) + 1))
             if case % 10 == 0:
-                n_folds = X.nnz
-            shapes["n_folds == nnz"] += n_folds == X.nnz
+                n_folds = nnz
+            shapes["n_folds == nnz"] += n_folds == nnz
             self.check(X, n_folds, seed=case)
         assert min(shapes.values()) > 0, shapes
-
-    def test_raw_csr_with_unsorted_indices(self):
-        rng = np.random.default_rng(41)
-        n_unsorted = 0
-        for case in range(30):
-            X = random_matrix(rng)
-            if X.nnz < 3:
-                continue
-            raw = unsorted_copy(X, rng)
-            if raw.has_sorted_indices:
-                continue
-            n_unsorted += 1
-            before = [a.copy() for a in (raw.indptr, raw.indices, raw.data)]
-            n_folds = int(rng.integers(2, min(X.nnz, 5) + 1))
-            split = split_folds(raw, n_folds=n_folds, seed=case)
-            assert np.array_equal(
-                split.fold, split_folds(X, n_folds=n_folds, seed=case).fold)
-            self.check(raw, n_folds, seed=case)
-            # the caller's matrix is never sorted in place
-            for got, want in zip((raw.indptr, raw.indices, raw.data), before):
-                assert got.tobytes() == want.tobytes()
-        assert n_unsorted >= 10
-
-    def test_raw_csr_with_duplicate_entries(self):
-        # a duplicate stored entry is one entry, its values summed
-        raw = sp.csr_matrix((np.array([1.0, 2.0, 3.0, 4.0, 5.0]),
-                             np.array([2, 0, 2, 1, 1]), np.array([0, 3, 5])),
-                            shape=(2, 3))
-        summed = sp.csr_matrix(raw.toarray())
-        split = split_folds(raw, n_folds=3, seed=4)
-        assert np.array_equal(split.fold, split_folds(summed, 3, seed=4).fold)
-        for f in range(3):
-            assert_same_csr(training_matrix(raw, split.fold == f),
-                            training_matrix(summed, split.fold == f))
-        assert raw.nnz == 5
 
     def test_interaction_matrix(self, make_corpus):
         corpus = make_corpus(
@@ -219,55 +183,41 @@ class TestFoldsMatchTriples:
             [("a", "t1", "IC50", 10.0), ("a", "t2", "IC50", 20.0),
              ("b", "t1", "IC50", 30.0), ("c", "t2", "IC50", 40.0),
              ("c", "t3", "IC50", 50_000.0)])
-        interactions = build_interaction_matrix(corpus, "IC50")
-        self.check(interactions.matrix, 2, seed=3)
-        split = split_folds(interactions, n_folds=2, seed=3)
-        assert np.array_equal(
-            split.fold, split_folds(interactions.matrix, 2, seed=3).fold)
+        self.check(build_interaction_matrix(corpus, "IC50"), 2, seed=3)
 
 
 class TestTrainingMatrix:
 
     def test_removes_exactly_the_fold(self):
-        X = sp.csr_matrix(np.diag([1.0, 2.0, 3.0, 4.0]))
+        X = matrix_of(np.diag([1.0, 2.0, 3.0, 4.0]))
         fold = np.array([True, False, True, False])  # entries (0,0), (2,2)
         trimmed = training_matrix(X, fold)
+        assert (trimmed.compounds, trimmed.targets) == (X.compounds, X.targets)
         expected = np.diag([0.0, 2.0, 0.0, 4.0])
-        np.testing.assert_array_equal(trimmed.toarray(), expected)
-
-    def test_interaction_matrix_kind_preserved(self, make_corpus):
-        corpus = make_corpus(
-            ["a", "b"], [],
-            [("a", "t1", "IC50", 10.0), ("a", "t2", "IC50", 20.0),
-             ("b", "t1", "IC50", 30.0)])
-        interactions = build_interaction_matrix(corpus, "IC50")
-        trimmed = training_matrix(interactions, np.array([True, False, False]))
-        assert trimmed.compounds == interactions.compounds
-        assert trimmed.matrix.nnz == interactions.matrix.nnz - 1
-        assert trimmed.matrix[0, 0] == 0.0
+        np.testing.assert_array_equal(trimmed.matrix.toarray(), expected)
 
 
 class TestRmse:
 
     def test_perfect_model(self):
         model = make_model([[1.0], [2.0]], [[3.0], [4.0]])
-        test = held_out([(0, 0, 3.0), (1, 1, 8.0)], (2, 2))
+        test = from_triples([(0, 0, 3.0), (1, 1, 8.0)], (2, 2))
         assert rmse(model, test) == 0.0
 
     def test_single_triple(self):
         model = make_model([[2.0]], [[2.0]])  # predicts 4
-        assert rmse(model, held_out([(0, 0, 6.0)], (1, 1))) == \
+        assert rmse(model, from_triples([(0, 0, 6.0)], (1, 1))) == \
             pytest.approx(2.0, rel=1e-12)
 
     def test_constant_zero_model(self):
         model = make_model([[0.0]], [[0.0], [0.0]])
-        value = rmse(model, held_out([(0, 0, 5.0), (0, 1, 10.0)], (1, 2)))
+        value = rmse(model, from_triples([(0, 0, 5.0), (0, 1, 10.0)], (1, 2)))
         assert value == pytest.approx(np.sqrt(62.5), rel=1e-12)
 
     def test_empty_set_rejected(self):
         model = make_model([[1.0]], [[1.0]])
         with pytest.raises(EvalError):
-            rmse(model, held_out([], (1, 1)))
+            rmse(model, from_triples([], (1, 1)))
 
 
 class TestRecallAtK:
@@ -277,9 +227,8 @@ class TestRecallAtK:
         # target (excluded); test targets t0, t1, t4 land at ranks 1, 2, 5
         model = make_model([[1.0]], [[10.0], [9.0], [8.0], [7.0], [6.0],
                                      [5.0], [4.0]])
-        train = sp.csr_matrix(
-            (np.array([1.0]), (np.array([0]), np.array([5]))), shape=(1, 7))
-        test = held_out([(0, 0, 5.0), (0, 1, 5.0), (0, 4, 5.0)], (1, 7))
+        train = from_triples([(0, 5, 1.0)], (1, 7))
+        test = from_triples([(0, 0, 5.0), (0, 1, 5.0), (0, 4, 5.0)], (1, 7))
         return model, train, test
 
     def test_hand_ranked_recall(self):
@@ -297,9 +246,9 @@ class TestRecallAtK:
 
     def test_monotone_in_k(self):
         rng = np.random.default_rng(7)
-        X = planted_matrix(rng).toarray()
-        train = sp.csr_matrix(X * (rng.random(X.shape) < 0.7))
-        test = sp.csr_matrix(X - train.toarray())
+        X = planted_matrix(rng).matrix.toarray()
+        train = matrix_of(X * (rng.random(X.shape) < 0.7))
+        test = matrix_of(X - train.matrix.toarray())
         model = make_model(rng.random((X.shape[0], 3)),
                            rng.random((X.shape[1], 3)))
         result = recall_at_k(model, train, test, k_list=(1, 3, 5, 8, 12),
@@ -327,9 +276,8 @@ class TestRecallAtK:
         # training target t0 scores highest; with exclusion the test target
         # t1 is rank 1, without it t1 drops to rank 2
         model = make_model([[1.0]], [[10.0], [9.0], [1.0]])
-        train = sp.csr_matrix(
-            (np.array([1.0]), (np.array([0]), np.array([0]))), shape=(1, 3))
-        test = held_out([(0, 1, 5.0)], (1, 3))
+        train = from_triples([(0, 0, 1.0)], (1, 3))
+        test = from_triples([(0, 1, 5.0)], (1, 3))
         kwargs = dict(k_list=(1,), sample_size=5, min_train_targets=1,
                       min_test_targets=1, seed=0)
         excluded = recall_at_k(model, train, test, **kwargs)
@@ -360,9 +308,8 @@ class TestRecallAtK:
         # two sampled compounds with recalls 0 and 1: population std is 0.5
         model = make_model([[1.0], [1.0]],
                            [[10.0], [9.0], [8.0], [7.0]])
-        train = sp.csr_matrix(
-            (np.ones(2), (np.array([0, 1]), np.array([3, 3]))), shape=(2, 4))
-        test = held_out([(0, 0, 5.0), (1, 2, 5.0)], (2, 4))  # ranks 1 and 3
+        train = from_triples([(0, 3, 1.0), (1, 3, 1.0)], (2, 4))
+        test = from_triples([(0, 0, 5.0), (1, 2, 5.0)], (2, 4))  # ranks 1 and 3
         result = recall_at_k(model, train, test, k_list=(1,), sample_size=10,
                              min_train_targets=1, min_test_targets=1, seed=0)
         assert result.n_sampled == 2
@@ -425,7 +372,7 @@ class TestCrossValidate:
         fold_rmse, pooled = [], {2: [], 5: []}
         for f, triples in enumerate(triple_folds(X, 4, 6)):
             train = triple_training_matrix(X, triples)
-            test = held_out(triples, X.shape)
+            test = from_triples(triples, X.shape)
             model = train_nmf(train, config)
             fold_rmse.append(rmse(model, test))
             result = recall_at_k(model, train, test, seed=6 * 100_003 + f,
@@ -457,22 +404,42 @@ class TestCrossValidate:
         with pytest.raises(ValueError):
             cross_validate(X, TrainConfig(rank=2, max_iters=5), **kwargs)
 
-    @pytest.mark.parametrize("kind", ["ndarray", "scipy"])
+    @pytest.mark.parametrize("kind", ["ndarray", "scipy", "wrong-size"])
     def test_raw_similarity_rejected_before_training(self, kind, monkeypatch):
+        # at lam = 0 too, where no fold would read S
         def never(*args, **kwargs):
-            raise AssertionError("a fold was trained")
+            raise AssertionError("a fold was cut or trained")
 
-        monkeypatch.setattr(evaluation, "train_nmf", never)
-        monkeypatch.setattr(evaluation, "rmse", never)
+        for name in ("training_matrix", "train_nmf", "train_csnmf", "rmse"):
+            monkeypatch.setattr(evaluation, name, never)
         S = np.zeros((20, 20))
         S[0, 1] = S[1, 0] = 1.0
         if kind == "scipy":
             S = sp.csr_matrix(S)
+        elif kind == "wrong-size":
+            S = graph_of(np.eye(7))
         X = planted_matrix(np.random.default_rng(36), n=20, m=8)
-        with pytest.raises(FactorizationError, match="SimilarityMatrix"):
-            cross_validate(X, TrainConfig(rank=2, lam=0.1, max_iters=5), S=S,
-                           n_folds=3, k_list=(3,), sample_size=10,
-                           min_train_targets=1, min_test_targets=1)
+        message = "index" if kind == "wrong-size" else "SimilarityMatrix"
+        for lam in (0.0, 0.1):
+            with pytest.raises(FactorizationError, match=message):
+                cross_validate(X, TrainConfig(rank=2, lam=lam, max_iters=5),
+                               S=S, n_folds=3, k_list=(3,), sample_size=10,
+                               min_train_targets=1, min_test_targets=1)
+
+    @pytest.mark.parametrize("kind", ["ndarray", "scipy"])
+    def test_raw_matrix_rejected(self, kind, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("the generator was seeded")
+
+        X = planted_matrix(np.random.default_rng(37), n=20, m=8).matrix
+        if kind == "ndarray":
+            X = X.toarray()
+        monkeypatch.setattr(np.random, "default_rng", never)
+        for call in (lambda: split_folds(X, n_folds=3),
+                     lambda: cross_validate(X, TrainConfig(rank=2))):
+            with pytest.raises(FactorizationError,
+                               match=r"InteractionMatrix\(compounds, targets, csr\)"):
+                call()
 
     def test_fold_steps_called_through_module_globals(self, monkeypatch):
         # a benchmark times each step by patching these names, and marks a

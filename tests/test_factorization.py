@@ -5,6 +5,7 @@ import scipy.sparse as sp
 from helpers import (
     compound_order_csr,
     graph_of,
+    matrix_of,
     objective,
     oracle_interaction_matrix,
 )
@@ -14,6 +15,7 @@ from repurpose import (
     FactorizationError,
     FactorModel,
     FormatError,
+    InteractionMatrix,
     NoInteractionsError,
     SimilarityMatrix,
     TrainConfig,
@@ -142,6 +144,42 @@ class TestBuildInteractionMatrix:
         assert interactions.matrix.toarray().tolist() == [[1.0]]
 
 
+def interaction_case(case):
+    """(compounds, targets, matrix) of a 2 x 3 interaction matrix, legal
+    except for what `case` names."""
+    compounds, targets = ("a", "b"), ("x", "y", "z")
+    data, indices = [1.0, 2.0, 3.0], [0, 2, 1]
+    if case in ("negative", "nan", "inf"):
+        data[1] = {"negative": -1.0, "nan": np.nan, "inf": np.inf}[case]
+    compounds = {"too-few-compounds": ("a",),
+                 "too-many-compounds": ("a", "b", "c"),
+                 "repeated-compound": ("a", "a")}.get(case, compounds)
+    targets = {"too-few-targets": ("x", "y"),
+               "too-many-targets": ("x", "y", "z", "w"),
+               "repeated-target": ("x", "y", "x")}.get(case, targets)
+    if case in ("unsorted-indices", "duplicate-entry"):
+        indices[:2] = [2, 0] if case == "unsorted-indices" else [0, 0]
+    matrix = sp.csr_matrix((np.array(data), np.array(indices),
+                            np.array([0, 2, 3])), shape=(2, 3))
+    return compounds, targets, matrix.tocoo() if case == "coo" else matrix
+
+
+class TestInteractionMatrix:
+
+    def test_legal_matrix_accepted(self):
+        compounds, targets, matrix = interaction_case("legal")
+        X = InteractionMatrix(compounds, targets, matrix)
+        assert X.shape == (2, 3) and X.n_entries == 3
+
+    @pytest.mark.parametrize("case", [
+        "negative", "nan", "inf", "too-few-compounds", "too-many-compounds",
+        "too-few-targets", "too-many-targets", "repeated-compound",
+        "repeated-target", "coo", "unsorted-indices", "duplicate-entry"])
+    def test_constructor_rejects(self, case):
+        with pytest.raises(ValueError):
+            InteractionMatrix(*interaction_case(case))
+
+
 class TestObjective:
 
     def test_perfect_reconstruction_zero(self):
@@ -189,7 +227,7 @@ class TestTrainNmf:
         X = np.outer(u, v)
         config = TrainConfig(rank=1, lam=0.0, max_iters=500, rel_tol=1e-15,
                              seed=3)
-        model = train_nmf(X, config)
+        model = train_nmf(matrix_of(X), config)
         x_sq = float((X ** 2).sum())
         assert model.objective_trace[-1] < 1e-6 * x_sq
         # reconstruction matches planted entries closely
@@ -198,7 +236,7 @@ class TestTrainNmf:
 
     def test_all_zero_matrix(self):
         config = TrainConfig(rank=2, max_iters=20, seed=0)
-        model = train_nmf(np.zeros((5, 4)), config)
+        model = train_nmf(matrix_of(np.zeros((5, 4))), config)
         assert np.all(model.U >= 0) and np.all(model.V >= 0)
         assert np.all(model.objective_trace == 0.0)
         assert model.converged
@@ -206,14 +244,14 @@ class TestTrainNmf:
     def test_monotone_trace_random_instances(self):
         rng = np.random.default_rng(21)
         for seed in range(3):
-            X = random_sparse(rng, 50, 20)
+            X = matrix_of(random_sparse(rng, 50, 20))
             config = TrainConfig(rank=5, max_iters=60, rel_tol=1e-12, seed=seed)
             trace = train_nmf(X, config).objective_trace
             assert np.all(np.diff(trace) <= trace[:-1] * 1e-9)
 
     def test_factors_nonnegative_every_iteration(self):
         rng = np.random.default_rng(31)
-        X = random_sparse(rng, 30, 12)
+        X = matrix_of(random_sparse(rng, 30, 12))
         seen = []
 
         def watch(iteration, U, V, value):
@@ -227,7 +265,7 @@ class TestTrainNmf:
 
     def test_same_seed_bit_identical(self):
         rng = np.random.default_rng(12)
-        X = random_sparse(rng, 25, 10)
+        X = matrix_of(random_sparse(rng, 25, 10))
         config = TrainConfig(rank=3, max_iters=30, seed=77)
         first = train_nmf(X, config)
         second = train_nmf(X, config)
@@ -237,18 +275,37 @@ class TestTrainNmf:
 
     def test_different_seed_differs(self):
         rng = np.random.default_rng(13)
-        X = random_sparse(rng, 25, 10)
+        X = matrix_of(random_sparse(rng, 25, 10))
         first = train_nmf(X, TrainConfig(rank=3, max_iters=10, seed=1))
         second = train_nmf(X, TrainConfig(rank=3, max_iters=10, seed=2))
         assert not np.array_equal(first.U, second.U)
 
     def test_rank_too_large_rejected(self):
         with pytest.raises(FactorizationError, match="rank"):
-            train_nmf(np.ones((4, 3)), TrainConfig(rank=5))
+            train_nmf(matrix_of(np.ones((4, 3))), TrainConfig(rank=5))
+
+    @pytest.mark.parametrize("kind", ["ndarray", "scipy"])
+    @pytest.mark.parametrize("train", ["nmf", "csnmf"])
+    def test_raw_matrix_rejected_before_seeding(self, kind, train,
+                                                monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("the generator was seeded")
+
+        X = np.ones((4, 3))
+        if kind == "scipy":
+            X = sp.csr_matrix(X)
+        S = graph_of(np.zeros((4, 4)))
+        monkeypatch.setattr(np.random, "default_rng", never)
+        with pytest.raises(FactorizationError,
+                           match=r"InteractionMatrix\(compounds, targets, csr\)"):
+            if train == "nmf":
+                train_nmf(X, TrainConfig(rank=1))
+            else:
+                train_csnmf(X, S, TrainConfig(rank=1))
 
     def test_converged_flag_set_on_tolerance_stop(self):
         rng = np.random.default_rng(14)
-        X = random_sparse(rng, 20, 8)
+        X = matrix_of(random_sparse(rng, 20, 8))
         loose = train_nmf(X, TrainConfig(rank=2, max_iters=500, rel_tol=1e-3,
                                          seed=5))
         assert loose.converged
@@ -259,7 +316,7 @@ class TestTrainCsnmf:
 
     def test_lambda_zero_reduces_to_nmf_exactly(self):
         rng = np.random.default_rng(40)
-        X = random_sparse(rng, 30, 12)
+        X = matrix_of(random_sparse(rng, 30, 12))
         S = random_symmetric(rng, 30)
         config = TrainConfig(rank=4, lam=0.0, max_iters=40, rel_tol=1e-12,
                              seed=9)
@@ -273,7 +330,7 @@ class TestTrainCsnmf:
     def test_monotone_trace_with_regularization(self):
         rng = np.random.default_rng(41)
         for seed in range(3):
-            X = random_sparse(rng, 40, 15)
+            X = matrix_of(random_sparse(rng, 40, 15))
             S = random_symmetric(rng, 40, density=0.2)
             config = TrainConfig(rank=5, lam=0.4, max_iters=60, rel_tol=1e-12,
                                  seed=seed)
@@ -291,15 +348,15 @@ class TestTrainCsnmf:
         S[0, 1] = S[1, 0] = 1.0
         base = TrainConfig(rank=4, lam=0.0, max_iters=150, rel_tol=1e-12, seed=2)
         strong = TrainConfig(rank=4, lam=1.0, max_iters=150, rel_tol=1e-12, seed=2)
-        plain = train_nmf(X, base)
-        regularized = train_csnmf(X, graph_of(S), strong)
+        plain = train_nmf(matrix_of(X), base)
+        regularized = train_csnmf(matrix_of(X), graph_of(S), strong)
         gap_plain = np.linalg.norm(plain.U[0] - plain.U[1])
         gap_reg = np.linalg.norm(regularized.U[0] - regularized.U[1])
         assert gap_reg < gap_plain
 
     def test_penalty_not_larger_than_unregularized(self):
         rng = np.random.default_rng(43)
-        X = random_sparse(rng, 25, 10)
+        X = matrix_of(random_sparse(rng, 25, 10))
         S = random_symmetric(rng, 25, density=0.3)
         config = TrainConfig(rank=3, lam=0.8, max_iters=120, rel_tol=1e-12,
                              seed=6)
@@ -337,7 +394,7 @@ class TestTrainCsnmf:
     @pytest.mark.parametrize("variant", ["nmf", "similarity-matrix"])
     def test_trace_matches_reference_objective(self, variant):
         rng = np.random.default_rng(45)
-        X = random_sparse(rng, 30, 12)
+        X = matrix_of(random_sparse(rng, 30, 12))
         dense = random_symmetric(rng, 30, density=0.3)
         rows, cols = np.nonzero(np.triu(dense, k=1))
         S = {"nmf": None,
@@ -360,12 +417,12 @@ class TestTrainCsnmf:
 
     def test_missing_similarity_rejected(self):
         with pytest.raises(FactorizationError):
-            train_csnmf(np.ones((3, 3)), None, TrainConfig(rank=1))
+            train_csnmf(matrix_of(np.ones((3, 3))), None, TrainConfig(rank=1))
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(FactorizationError, match="index"):
-            train_csnmf(np.ones((4, 3)), graph_of(np.zeros((3, 3))),
-                        TrainConfig(rank=1, lam=0.1))
+            train_csnmf(matrix_of(np.ones((4, 3))),
+                        graph_of(np.zeros((3, 3))), TrainConfig(rank=1, lam=0.1))
 
     @pytest.mark.parametrize("kind", ["ndarray", "scipy"])
     @pytest.mark.parametrize("lam", [0.0, 0.1])
@@ -379,8 +436,8 @@ class TestTrainCsnmf:
             raise AssertionError("an iteration ran")
 
         with pytest.raises(FactorizationError, match="SimilarityMatrix"):
-            train_csnmf(np.ones((4, 3)), S, TrainConfig(rank=1, lam=lam),
-                        on_iteration=never)
+            train_csnmf(matrix_of(np.ones((4, 3))), S,
+                        TrainConfig(rank=1, lam=lam), on_iteration=never)
 
     def test_similarity_matrix_index_mismatch_rejected(self, make_corpus):
         corpus = make_corpus(
@@ -430,7 +487,8 @@ class TestTrainCsnmf:
         config = TrainConfig(rank=3, lam=0.4, max_iters=15, rel_tol=1e-12,
                              seed=2)
         ordered = train_csnmf(X, S, config)
-        plain = train_csnmf(X.matrix, graph_of(compound_order_csr(S)), config)
+        plain = train_csnmf(matrix_of(X.matrix), graph_of(compound_order_csr(S)),
+                            config)
         assert len(ordered.objective_trace) == len(plain.objective_trace)
         for name in ("U", "V", "objective_trace"):
             np.testing.assert_allclose(getattr(ordered, name),
@@ -438,29 +496,6 @@ class TestTrainCsnmf:
         assert objective(X, ordered.U, ordered.V, S, config.lam) == \
             objective(X.matrix, ordered.U, ordered.V, compound_order_csr(S),
                       config.lam)
-
-    @pytest.mark.parametrize("train", ["nmf", "csnmf"])
-    def test_raw_csr_argument_left_unchanged(self, train):
-        """A raw CSR with unsorted columns and duplicate entries trains as
-        its canonical form, and the caller's arrays keep their bytes."""
-        raw = sp.csr_matrix((np.array([1.0, 2.0, 3.0, 4.0, 5.0]),
-                             np.array([2, 0, 2, 1, 0]), np.array([0, 3, 5])),
-                            shape=(2, 3))
-        arrays = [a.copy() for a in (raw.data, raw.indices, raw.indptr)]
-        config = TrainConfig(rank=1, lam=0.3, max_iters=3, seed=1)
-        S = graph_of(np.array([[0.0, 0.5], [0.5, 0.0]]))
-        if train == "nmf":
-            got, want = (train_nmf(x, config)
-                         for x in (raw, raw.toarray()))
-        else:
-            got, want = (train_csnmf(x, S, config)
-                         for x in (raw, raw.toarray()))
-        assert raw.nnz == 5
-        for array, before in zip((raw.data, raw.indices, raw.indptr), arrays):
-            assert array.dtype == before.dtype
-            assert array.tobytes() == before.tobytes()
-        for name in ("U", "V", "objective_trace"):
-            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
 
 
 class TestPredict:
@@ -470,8 +505,8 @@ class TestPredict:
         u = rng.uniform(0.5, 2.0, size=10)
         v = rng.uniform(0.5, 2.0, size=6)
         X = np.outer(u, v)
-        model = train_nmf(X, TrainConfig(rank=1, max_iters=500, rel_tol=1e-15,
-                                         seed=4))
+        model = train_nmf(matrix_of(X), TrainConfig(rank=1, max_iters=500,
+                                                    rel_tol=1e-15, seed=4))
         for i in (0, 3, 9):
             for j in (0, 5):
                 assert model.score_targets(i)[j] == pytest.approx(X[i, j],
@@ -481,7 +516,8 @@ class TestPredict:
         rng = np.random.default_rng(51)
         X = random_sparse(rng, 8, 5).toarray()
         X[2] = 0.0
-        model = train_nmf(X, TrainConfig(rank=2, max_iters=100, seed=1))
+        model = train_nmf(matrix_of(X), TrainConfig(rank=2, max_iters=100,
+                                                    seed=1))
         for j in range(5):
             assert model.score_targets(2)[j] == 0.0
 
@@ -498,7 +534,8 @@ class TestPredict:
         assert model.score_targets(1)[0] == 1.5
 
     def test_out_of_range_rejected(self):
-        model = train_nmf(np.ones((3, 3)), TrainConfig(rank=1, max_iters=5))
+        model = train_nmf(matrix_of(np.ones((3, 3))),
+                          TrainConfig(rank=1, max_iters=5))
         with pytest.raises(IndexError):
             model.score_targets(3)
         with pytest.raises(IndexError):
@@ -509,7 +546,7 @@ class TestModelIO:
 
     def test_round_trip_lossless(self, tmp_path):
         rng = np.random.default_rng(60)
-        X = random_sparse(rng, 15, 7)
+        X = matrix_of(random_sparse(rng, 15, 7))
         config = TrainConfig(rank=3, lam=0.25, max_iters=40, rel_tol=1e-7,
                              seed=123)
         S = random_symmetric(rng, 15, density=0.2)

@@ -15,6 +15,7 @@ from helpers import (
 
 from repurpose import (
     Corpus,
+    InteractionMatrix,
     SimilarityMatrix,
     TrainConfig,
     UnknownCompoundError,
@@ -342,7 +343,9 @@ class TestBuildMemory:
     def test_training_forms_no_symmetric_copy(self, corpus):
         graph = build_similarity_matrix(corpus, "CF", threshold=0.2)
         assert graph.n_pairs > 400_000
-        X = np.random.default_rng(6).random((graph.n_compounds, 8))
+        X = InteractionMatrix(graph.compounds, tuple("t%d" % j for j in range(8)),
+                              sp.csr_matrix(np.random.default_rng(6).random(
+                                  (graph.n_compounds, 8))))
         config = TrainConfig(rank=3, lam=0.1, max_iters=3, rel_tol=1e-12)
         tracemalloc.start()
         try:
