@@ -363,8 +363,8 @@ def cmd_recommend(args):
             if rank >= args.k or scores[col] == -np.inf:
                 break
             rank += 1
-            lines.append(
-                f"{compound}\t{rank}\t{model.targets[int(col)]}\t{scores[col]!r}")
+            lines.append(f"{compound}\t{rank}\t{model.targets[int(col)]}"
+                         f"\t{float(scores[col])!r}")
     text = "\n".join(lines) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

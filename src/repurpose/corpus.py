@@ -162,13 +162,6 @@ class LabelIndex:
         lo, hi = self.matrix.indptr[row], self.matrix.indptr[row + 1]
         return [self.labels[j] for j in self.matrix.indices[lo:hi]]
 
-    def __eq__(self, other):
-        if not isinstance(other, LabelIndex):
-            return NotImplemented
-        return (self.labels == other.labels
-                and np.array_equal(self.matrix.indptr, other.matrix.indptr)
-                and np.array_equal(self.matrix.indices, other.matrix.indices))
-
 
 class Corpus:
     """Immutable indexed view of compounds, labels, and activity records.
@@ -332,19 +325,6 @@ class Corpus:
         return {self._target_ids[j] for j in row.tolist()}
 
     # -- misc --------------------------------------------------------------
-
-    def __eq__(self, other):
-        if not isinstance(other, Corpus):
-            return NotImplemented
-        return (self._smiles == other._smiles
-                and self._label_index == other._label_index
-                and self._target_ids == other._target_ids
-                and self.activity_types() == other.activity_types()
-                and all((matrix != other._activity_index[atype]).nnz == 0
-                        for atype, matrix in self._activity_index.items()))
-
-    def __hash__(self):
-        return object.__hash__(self)
 
     def __repr__(self):
         return (f"Corpus({self.n_compounds} compounds, "

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -180,6 +182,14 @@ def _similarity_graph(S, X):
     return S
 
 
+def _usable_cpus():
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def _objective_from_products(x_sq, U, XV, gram_u, gram_v, lam=0.0,
                              degrees=None, SU=None):
     """J = 0.5 (||X||^2 - 2 <X V, U> + <U^T U, V^T V>), plus, when S U is
@@ -261,41 +271,62 @@ def _train_core(X, S, lam, config, on_iteration):
     # (lam/2) tr(U^T L U) = (lam/2) (sum_i d_i ||u_i||^2 - <U, S U>).  X V,
     # V^T V and S U are formed once at the end of each iteration: they
     # score it, then feed the next U-update (X V and S U in the numerator,
-    # V^T V in the denominator).  U^T U comes from the V-update; S U is
-    # written into one buffer reused across iterations.
+    # V^T V in the denominator).  U^T U comes from the V-update.  Once the
+    # numerator is formed, the X V and S U buffers hold the denominator's
+    # two terms, and S U is written back into its buffer.
     XV, gram_v = X_csr @ V, V.T @ V
     degrees = graph.degrees() if regularize else None
     SU = graph._product(U, np.empty_like(U)) if regularize else None
     trace = [_objective_from_products(
         x_sq, U, XV, U.T @ U, gram_v, lam, degrees, SU)]
     converged = False
-    for iteration in range(1, config.max_iters + 1):
-        if regularize:
-            U *= (XV + lam * SU) / (U @ gram_v + lam * degrees[:, None] * U + eps)
-        else:
-            U *= XV / (U @ gram_v + eps)
-        XtU = X_csr.T @ U
-        gram_u = U.T @ U
-        V *= XtU / (V @ gram_u + eps)
-        if __debug__:
-            assert (U >= 0.0).all() and (V >= 0.0).all()
+    # S U is begun right after the U-update: one worker thread sums its
+    # terms below the diagonal while this thread runs the V side, which
+    # does not read S U, and then sums the terms above it.  On one CPU
+    # the worker would only take turns with this thread, so both sums are
+    # formed on this thread.  The worker lives only as long as this call.
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        submit = pool.submit if _usable_cpus() > 1 else None
+        for iteration in range(1, config.max_iters + 1):
+            if regularize:
+                num = lam * SU
+                num += XV
+                np.multiply(lam * degrees[:, None], U, out=SU)
+                np.matmul(U, gram_v, out=XV)
+                XV += SU
+                XV += eps
+                num /= XV
+                U *= num
+                del num
+                pending = graph._start_product(U, submit)
+            else:
+                U *= XV / (U @ gram_v + eps)
+            XtU = X_csr.T @ U
+            gram_u = U.T @ U
+            V *= XtU / (V @ gram_u + eps)
+            if __debug__:
+                assert (U >= 0.0).all() and (V >= 0.0).all()
 
-        XV, gram_v = X_csr @ V, V.T @ V
-        SU = graph._product(U, SU) if regularize else None
-        value = _objective_from_products(
-            x_sq, U, XV, gram_u, gram_v, lam, degrees, SU)
-        if not (math.isfinite(value)
-                and np.isfinite(U).all() and np.isfinite(V).all()):
-            raise FactorizationError(
-                f"non-finite value encountered at iteration {iteration}")
-        trace.append(value)
-        if on_iteration is not None:
-            on_iteration(iteration, U, V, value)
+            XV, gram_v = X_csr @ V, V.T @ V
+            if regularize:
+                SU = graph._finish_product(pending, SU)
+                # frees the gather and the worker's half before the next
+                # U-update
+                del pending
+            value = _objective_from_products(
+                x_sq, U, XV, gram_u, gram_v, lam, degrees, SU)
+            if not (math.isfinite(value)
+                    and np.isfinite(U).all() and np.isfinite(V).all()):
+                raise FactorizationError(
+                    f"non-finite value encountered at iteration {iteration}")
+            trace.append(value)
+            if on_iteration is not None:
+                on_iteration(iteration, U, V, value)
 
-        previous = trace[-2]
-        if previous == 0.0 or (previous - value) < config.rel_tol * previous:
-            converged = True
-            break
+            previous = trace[-2]
+            if previous == 0.0 or (previous - value) < config.rel_tol * previous:
+                converged = True
+                break
 
     return FactorModel(
         U=U, V=V, compounds=X.compounds, targets=X.targets, config=config,

@@ -11,11 +11,16 @@ pair, the reference for the trainer's Laplacian-form trace, over a raw
 symmetric S or a graph's `compound_order_csr`; `graph_of` wraps a raw S and
 `matrix_of` a raw X for the trainers.  `stored_order_product` sums S U with
 plain loops in the graph's stored order, the reference for its product and
-its degrees.
+its degrees.  `sequential_train` runs the trainers' updates one after
+another on one thread, with `sequential_product`'s S U, the reference the
+trainers' overlapped S U must equal float for float.
+`same_corpus` compares two corpora through their public accessors.
 `triple_folds` and `triple_training_matrix` hold each cross-validation fold
 as (row, col, value) triples, the reference for the fold-id array and the
 masks cut from it.
 """
+
+import math
 
 import numpy as np
 import scipy.sparse as sp
@@ -345,6 +350,63 @@ def stored_order_product(graph, U):
     return out
 
 
+def sequential_product(graph, U):
+    """S U for a SimilarityMatrix with its two halves formed one after the
+    other on the calling thread: the column sums of the stored upper
+    triangle T (T^T U, in stored order), then `+=` its row sums (T U), the
+    sum scattered back into compound order."""
+    Up = U[graph._order]
+    SU = graph._upper.T @ Up
+    SU += graph._upper @ Up
+    out = np.empty_like(U)
+    out[graph._order] = SU
+    return out
+
+
+def sequential_train(X, S, config, lam):
+    """(U, V, objective trace) of the trainers, run as single expressions one
+    step after another on the calling thread, with S U from
+    `sequential_product`.  S is a SimilarityMatrix or None; with lam = 0 or
+    no S this is plain NMF.  The trainers must equal it float for float.
+
+    U <- U * (X V + lam S U) / (U V^T V + lam D U + eps)
+    V <- V * (X^T U) / (V U^T U + eps)
+    """
+    X_csr = X.matrix
+    n, m = X_csr.shape
+    rng = np.random.default_rng(config.seed)
+    scale = math.sqrt(X_csr.sum() / (n * m) / config.rank)
+    U = (1.0 - rng.random((n, config.rank))) * scale
+    V = (1.0 - rng.random((m, config.rank))) * scale
+    eps = config.epsilon_guard
+    x_sq = float((X_csr.data ** 2).sum())
+    regularize = lam > 0.0 and S is not None
+    if regularize:
+        degrees = sequential_product(S, np.ones((n, 1))).ravel()
+        SU = sequential_product(S, U)
+    else:
+        lam, degrees, SU = 0.0, None, None
+    XV, gram_v = X_csr @ V, V.T @ V
+    trace = [_objective_from_products(
+        x_sq, U, XV, U.T @ U, gram_v, lam, degrees, SU)]
+    for _ in range(config.max_iters):
+        if regularize:
+            U *= (XV + lam * SU) / (U @ gram_v + lam * degrees[:, None] * U + eps)
+        else:
+            U *= XV / (U @ gram_v + eps)
+        gram_u = U.T @ U
+        V *= (X_csr.T @ U) / (V @ gram_u + eps)
+        XV, gram_v = X_csr @ V, V.T @ V
+        if regularize:
+            SU = sequential_product(S, U)
+        trace.append(_objective_from_products(
+            x_sq, U, XV, gram_u, gram_v, lam, degrees, SU))
+        previous = trace[-2]
+        if previous == 0.0 or previous - trace[-1] < config.rel_tol * previous:
+            break
+    return U, V, np.asarray(trace)
+
+
 def triple_folds(X, n_folds, seed):
     """The folds of `split_folds(X, n_folds, seed)` for an InteractionMatrix X
     as tuples of (row, col, value) triples, each in row-major order."""
@@ -373,6 +435,26 @@ def triple_training_matrix(X, held_out):
     keep = ~np.isin(keys, drop)
     return InteractionMatrix(X.compounds, X.targets, sp.csr_matrix(
         (coo.data[keep], (coo.row[keep], coo.col[keep])), shape=coo.shape))
+
+
+def same_corpus(a, b):
+    """True when two corpora hold the same compounds in the same order with
+    the same SMILES, the same labels under each source and the same
+    activity values of each type, compared through the public accessors."""
+    if (a.compound_ids() != b.compound_ids() or a.sources() != b.sources()
+            or a.target_ids() != b.target_ids()
+            or a.activity_types() != b.activity_types()):
+        return False
+    if any(a.smiles_of(c) != b.smiles_of(c) for c in a.compound_ids()):
+        return False
+    for source in a.sources():
+        x, y = a.label_index(source), b.label_index(source)
+        if not (x.labels == y.labels
+                and np.array_equal(x.matrix.indptr, y.matrix.indptr)
+                and np.array_equal(x.matrix.indices, y.matrix.indices)):
+            return False
+    return all((a.activity_matrix(t) != b.activity_matrix(t)).nnz == 0
+               for t in a.activity_types())
 
 
 def write_corpus_files(directory, compounds, label_rows, activity_rows):

@@ -477,6 +477,25 @@ class TestTrainEvaluateRecommend:
             known = corpus.targets_of(compound, "IC50")
             assert not (set(targets) & known)
 
+    def test_recommend_scores_read_back_as_model_scores(self, data_dir,
+                                                        tmp_path, capsys):
+        model_path = tmp_path / "model.tsv"
+        run(capsys, "train", "--data-dir", str(data_dir), "--rank", "3",
+            "--max-iters", "20", "--seed", "2", "--out", str(model_path))
+        code, out = run(capsys, "recommend", "--data-dir", str(data_dir),
+                        "--model", str(model_path), "--compounds",
+                        "C00000,C00003", "-k", "5", "--include-known")
+        assert code == 0
+        model = load_model(model_path)
+        body = [line.split("\t") for line in out.splitlines()[1:]]
+        assert len(body) == 10
+        for compound, _, target, score in body:
+            want = model.score_targets(model.row_of(compound))[
+                model.target_pos[target]]
+            # a plain float literal, the shortest that reads back exactly
+            assert score == repr(float(want))
+            assert float(score) == want
+
     def test_recommend_unknown_compound_is_runtime_error(self, data_dir,
                                                          tmp_path, capsys):
         model_path = tmp_path / "model.tsv"

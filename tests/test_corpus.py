@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from helpers import write_corpus_files
+from helpers import same_corpus, write_corpus_files
 
 from repurpose import (
     Corpus,
@@ -84,8 +84,8 @@ class TestLoadCorpus:
         assert corpus.compound_ids() == ("#c1", "c2")
         assert corpus.labels_of("#c1", "CF") == frozenset({"#x"})
         assert corpus.targets_of("#c1") == {"T"}
-        assert corpus == Corpus.build(
-            ["#c1", "c2"], [("#c1", "CF", "#x")], [("#c1", "T", "IC50", 5.0)])
+        assert same_corpus(corpus, Corpus.build(
+            ["#c1", "c2"], [("#c1", "CF", "#x")], [("#c1", "T", "IC50", 5.0)]))
 
     def test_labels_file_without_header_still_parses(self, tmp_path):
         paths = write_corpus_files(tmp_path, ["c1"], [], [])
@@ -225,7 +225,7 @@ class TestBuildErrors:
         assert built.labels_of("c1", "CF") == frozenset({"x"})
         assert built.activity_matrix("IC50")[1, 0] == 5.0
         paths = write_corpus_files(tmp_path, compounds, labels, activities)
-        assert load_corpus(*paths) == built
+        assert same_corpus(load_corpus(*paths), built)
 
 
 def _chunk_rows():
@@ -277,7 +277,7 @@ class TestChunkBoundaries:
     def test_line_ends(self, tmp_path, newline):
         rows = _chunk_rows()
         corpus = load_corpus(*_write_files(tmp_path, *rows, newline=newline))
-        assert corpus == Corpus.build(*rows)
+        assert same_corpus(corpus, Corpus.build(*rows))
         assert corpus.n_compounds == 32
         assert corpus.activity_matrix("IC50").nnz > 0
 
@@ -285,7 +285,7 @@ class TestChunkBoundaries:
         rows = _chunk_rows()
         paths = _write_files(tmp_path, *rows, final_newline=False)
         assert paths[2].read_bytes().endswith(b"\t0.25")
-        assert load_corpus(*paths) == Corpus.build(*rows)
+        assert same_corpus(load_corpus(*paths), Corpus.build(*rows))
 
     def test_comments_and_blank_lines_span_chunks(self, tmp_path):
         rows = _chunk_rows()
@@ -297,7 +297,7 @@ class TestChunkBoundaries:
                   labels[:50] + [(" ", " ", " ")] + labels[50:], activities)
         paths = _write_files(tmp_path, *gapped, newline="\r\n",
                              preamble=preamble)
-        assert load_corpus(*paths) == Corpus.build(*rows)
+        assert same_corpus(load_corpus(*paths), Corpus.build(*rows))
         # the missing compounds header is reported on its exact line
         text = paths[0].read_text().split("\n")
         paths[0].write_text("\n".join(text[:len(preamble)]
@@ -323,7 +323,7 @@ class TestChunkBoundaries:
         for path in paths:
             assert path.read_text().index("\n#c1\t") > 300
         corpus = load_corpus(*paths)
-        assert corpus == Corpus.build(*rows)
+        assert same_corpus(corpus, Corpus.build(*rows))
         assert "#x" in corpus.labels_of("#c1", "CF")
         assert corpus.compounds_for_target("t0", "IC50", 1.0) == {"#c1"}
 
@@ -443,14 +443,15 @@ class TestCorpusInvariants:
         paths = write_corpus_files(tmp_path / "a", compounds, labels, activities)
         first = load_corpus(*paths)
         second = load_corpus(*paths)
-        assert first == second
+        assert same_corpus(first, second)
 
     def test_build_matches_load(self, tmp_path):
         compounds = ["c1", "c2"]
         labels = [("c1", "CF", "x")]
         activities = [("c2", "t9", "EC50", 12.0)]
         paths = write_corpus_files(tmp_path, compounds, labels, activities)
-        assert load_corpus(*paths) == Corpus.build(compounds, labels, activities)
+        assert same_corpus(load_corpus(*paths),
+                           Corpus.build(compounds, labels, activities))
 
     def test_unlabeled_compounds_are_legal(self, make_corpus):
         corpus = make_corpus(["c1", "c2"], [("c1", "CF", "x")], [])
@@ -461,20 +462,20 @@ class TestCorpusInvariants:
         compounds = ["c1", "c2"]
         labels = [("c1", "CF", "x"), ("c2", "CF", "y")]
         base = Corpus.build(compounds, labels)
-        assert base == Corpus.build(compounds, labels[::-1])
-        assert base != Corpus.build(compounds, [("c1", "CF", "x"), ("c2", "CF", "x")])
-        assert base != Corpus.build(compounds, [("c1", "CF", "y"), ("c2", "CF", "x")])
-        assert base != Corpus.build(compounds, [("c1", "CF", "x"), ("c2", "OC", "y")])
+        assert same_corpus(base, Corpus.build(compounds, labels[::-1]))
+        for other in ([("c1", "CF", "x"), ("c2", "CF", "x")],
+                      [("c1", "CF", "y"), ("c2", "CF", "x")],
+                      [("c1", "CF", "x"), ("c2", "OC", "y")]):
+            assert not same_corpus(base, Corpus.build(compounds, other))
 
     def test_corpora_differing_in_one_activity_are_unequal(self):
         compounds = ["c1", "c2"]
         activities = [("c1", "t1", "IC50", 5.0), ("c2", "t2", "Ki", 7.5)]
         base = Corpus.build(compounds, (), activities)
-        assert base == Corpus.build(compounds, (), activities[::-1])
-        assert base != Corpus.build(
-            compounds, (), [("c1", "t1", "IC50", 5.5), activities[1]])
-        assert base != Corpus.build(
-            compounds, (), [("c1", "t1", "EC50", 5.0), activities[1]])
+        assert same_corpus(base, Corpus.build(compounds, (), activities[::-1]))
+        for changed in (("c1", "t1", "IC50", 5.5), ("c1", "t1", "EC50", 5.0)):
+            assert not same_corpus(
+                base, Corpus.build(compounds, (), [changed, activities[1]]))
 
     def test_labels_case_sensitive(self, make_corpus):
         corpus = make_corpus(

@@ -1,3 +1,7 @@
+import os
+import threading
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -8,6 +12,7 @@ from helpers import (
     matrix_of,
     objective,
     oracle_interaction_matrix,
+    sequential_train,
 )
 
 from repurpose import (
@@ -496,6 +501,116 @@ class TestTrainCsnmf:
         assert objective(X, ordered.U, ordered.V, S, config.lam) == \
             objective(X.matrix, ordered.U, ordered.V, compound_order_csr(S),
                       config.lam)
+
+
+@pytest.fixture(params=["two-cpus", "one-cpu", "one-cpu-no-affinity"])
+def cpus(request, monkeypatch):
+    """The CPUs the trainer sees: two by the affinity call, which overlaps
+    the halves of S U on a worker thread, or one, which forms them in
+    place, by the affinity call or, where there is none, by the CPU
+    count.  Returns that number."""
+    if request.param == "one-cpu-no-affinity":
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        return 1
+    mask = {0, 1} if request.param == "two-cpus" else {0}
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: mask,
+                        raising=False)
+    return len(mask)
+
+
+class TestOverlappedProduct:
+    """The trainer forms S U in two halves, one on a worker thread while
+    the V-update runs; the iterates must equal the sequential reference
+    float for float, and the worker must not outlive the call."""
+
+    @pytest.mark.parametrize("block_entries", [1, None])
+    @pytest.mark.parametrize("threshold", [0.0, 0.5])
+    def test_matches_sequential_reference(self, make_corpus, monkeypatch, cpus,
+                                          block_entries, threshold):
+        if block_entries is not None:
+            monkeypatch.setattr(similarity, "_BLOCK_ENTRIES", block_entries)
+        rng = np.random.default_rng(61)
+        stops = set()
+        for trial in range(3):
+            n = int(rng.integers(20, 90))
+            ids = [f"c{i:02d}" for i in range(n)]
+            label_rows = [(cid, "CF", f"l{v:02d}") for cid in ids
+                          for v in rng.choice(20, size=int(rng.integers(0, 7)),
+                                              replace=False)]
+            activity_rows = [(cid, f"t{t}", "IC50",
+                              float(rng.uniform(1, 20_000)))
+                             for cid in ids
+                             for t in rng.choice(12, size=4, replace=False)]
+            corpus = make_corpus(ids, label_rows, activity_rows)
+            X = build_interaction_matrix(corpus, "IC50")
+            S = build_similarity_matrix(corpus, "CF", X.compounds, threshold)
+            assert S.n_pairs
+            for lam, rel_tol in ((0.4, 1e-3), (0.05, 1e-5), (0.0, 1e-4)):
+                config = TrainConfig(rank=3, lam=lam, max_iters=400,
+                                     rel_tol=rel_tol, seed=trial)
+                want = sequential_train(X, S, config, lam)
+                models = [train_csnmf(X, S, config)]
+                if lam == 0.0:
+                    models.append(train_nmf(X, config))
+                for model in models:
+                    got = (model.U, model.V, model.objective_trace)
+                    for got_array, want_array in zip(got, want, strict=True):
+                        assert got_array.tobytes() == want_array.tobytes()
+                    stops.add(len(model.objective_trace) - 1)
+        assert len(stops) > 3 and max(stops) < 400
+
+    @pytest.mark.parametrize("lam, fail_at", [(0.2, None), (0.2, 3),
+                                              (0.0, None)])
+    def test_worker_lives_only_inside_the_call(self, cpus, lam, fail_at):
+        """A worker runs while a regularized trainer on two CPUs does, and
+        none is left after it returns or raises."""
+        rng = np.random.default_rng(47)
+        X = matrix_of(random_sparse(rng, 40, 10))
+        S = graph_of(random_symmetric(rng, 40, density=0.2))
+        config = TrainConfig(rank=3, lam=lam, max_iters=6, rel_tol=1e-12)
+        before = threading.active_count()
+        during = []
+
+        def watch(iteration, U, V, value):
+            during.append(threading.active_count())
+            if iteration == fail_at:
+                raise KeyboardInterrupt
+
+        if fail_at is None:
+            train_csnmf(X, S, config, on_iteration=watch)
+        else:
+            with pytest.raises(KeyboardInterrupt):
+                train_csnmf(X, S, config, on_iteration=watch)
+        assert during == [before + (cpus > 1 and lam > 0)] * (fail_at or 6)
+        assert threading.active_count() == before
+
+    def test_peak_memory_is_the_sequential_count(self, cpus):
+        """numpy and scipy allocate through tracemalloc, from any thread.
+        The trainer's peak holds six n x r arrays, as the sequential
+        trainer's does: U, X V, S U, the gathered U, and the two halves of
+        the next S U.  The rest does not grow with n x r: a few n-vectors
+        (the degrees, the order as intp), the target side's m x r arrays
+        and the r x r grams."""
+        rng = np.random.default_rng(5)
+        n, m, r = 4000, 12, 10
+        ids = [f"m{i:04d}" for i in range(n)]
+        rows = [(cid, "CF", f"k{i % 40}-{v:02d}") for i, cid in enumerate(ids)
+                for v in rng.choice(16, size=4, replace=False)]
+        graph = build_similarity_matrix(Corpus.build(ids, rows), "CF",
+                                        threshold=0.3)
+        X = InteractionMatrix(graph.compounds, tuple(f"t{j}" for j in range(m)),
+                              random_sparse(rng, n, m, density=0.5))
+        config = TrainConfig(rank=r, lam=0.1, max_iters=4, rel_tol=1e-12)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            train_csnmf(X, graph, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        block = 8 * n * r
+        assert peak - before <= 6 * block + 4 * 8 * n + 8 * 8 * m * r + 65_536
 
 
 class TestPredict:

@@ -16,7 +16,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from helpers import write_corpus_files
+from helpers import same_corpus, write_corpus_files
 
 from repurpose import (
     Corpus,
@@ -63,7 +63,7 @@ def corpus_rows(draw):
 def _check_load_as_built(rows):
     with tempfile.TemporaryDirectory() as directory:
         paths = write_corpus_files(Path(directory), *rows)
-        assert load_corpus(*paths) == Corpus.build(*rows)
+        assert same_corpus(load_corpus(*paths), Corpus.build(*rows))
 
 
 @given(corpus_rows())
