@@ -21,6 +21,7 @@ from repurpose import (
     load_corpus,
     load_model,
     save_model,
+    top_columns,
     train_csnmf,
     train_nmf,
     transform_activity,
@@ -64,11 +65,10 @@ print(f"\nlatent gap between similar pair ({i}, {j}): "
 
 compound = X.compounds[0]
 scores = regularized.score_targets(regularized.row_of(compound))
-order = np.argsort(-scores, kind="stable")[:5]
 known = corpus.targets_of(compound, "IC50")
 print(f"\ntop-5 targets for {compound} (planted cluster "
       f"{truth.compound_cluster[compound]}):")
-for col in order:
+for col in top_columns(scores, 5):
     target = regularized.targets[int(col)]
     tag = "known" if target in known else f"cluster {truth.target_cluster[target]}"
     print(f"  {target}  score {scores[col]:6.3f}  [{tag}]")

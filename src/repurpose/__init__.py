@@ -74,6 +74,7 @@ from .noir import (
     write_reference_set,
     write_retrieval_report,
 )
+from .ranking import top_columns
 from .similarity import (
     SimilarityMatrix,
     build_similarity_matrix,

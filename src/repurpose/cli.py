@@ -43,6 +43,7 @@ from .noir import (
     write_reference_set,
     write_retrieval_report,
 )
+from .ranking import top_columns
 from .similarity import build_similarity_matrix
 from .synthetic import SyntheticSpec, generate_synthetic
 
@@ -227,7 +228,7 @@ def cmd_noir(args):
     return 0
 
 
-def _similarity_graph(corpus, source, interactions, threshold):
+def _build_graph(corpus, source, interactions, threshold):
     """Build the Jaccard graph over the interaction matrix's compounds and
     log its size."""
     graph = build_similarity_matrix(corpus, source, interactions.compounds,
@@ -266,8 +267,8 @@ def cmd_train(args):
     if source is None or args.lam == 0:
         model = train_nmf(interactions, config, on_iteration=_log_iteration())
     else:
-        similarity = _similarity_graph(corpus, source, interactions,
-                                       args.sim_threshold)
+        similarity = _build_graph(corpus, source, interactions,
+                                  args.sim_threshold)
         model = train_csnmf(interactions, similarity, config,
                             on_iteration=_log_iteration())
     save_model(model, args.out)
@@ -304,8 +305,8 @@ def cmd_evaluate(args):
             log.warning("variant %s already evaluated; skipping duplicate", label)
             continue
         seen.add(label)
-        similarity = (_similarity_graph(corpus, source, interactions,
-                                        args.sim_threshold)
+        similarity = (_build_graph(corpus, source, interactions,
+                                   args.sim_threshold)
                       if regularized else None)
         report = cross_validate(
             interactions, config, S=similarity, n_folds=args.folds,
@@ -352,17 +353,12 @@ def cmd_recommend(args):
     lines = ["compound_id\trank\ttarget_id\tscore"]
     for compound in compounds:
         row = model.row_of(compound)
-        scores = model.score_targets(row).copy()
+        scores = model.score_targets(row)
         for target in known.get(compound, ()):
             col = model.target_pos.get(target)
             if col is not None:
                 scores[col] = -np.inf
-        order = np.argsort(-scores, kind="stable")
-        rank = 0
-        for col in order:
-            if rank >= args.k or scores[col] == -np.inf:
-                break
-            rank += 1
+        for rank, col in enumerate(top_columns(scores, args.k), start=1):
             lines.append(f"{compound}\t{rank}\t{model.targets[int(col)]}"
                          f"\t{float(scores[col])!r}")
     text = "\n".join(lines) + "\n"

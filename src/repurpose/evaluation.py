@@ -24,6 +24,7 @@ from .factorization import (
     train_csnmf,
     train_nmf,
 )
+from .ranking import top_columns
 
 
 def _masked_entries(X, mask):
@@ -68,10 +69,23 @@ def training_matrix(X, held_out_mask):
     return _masked_entries(X, ~held_out_mask)
 
 
+def _check_ids(model, *matrices):
+    """Raise EvalError unless each matrix has the model's compound ids and
+    target ids, in the model's order."""
+    for X in matrices:
+        if (X.compounds, X.targets) != (model.compounds, model.targets):
+            raise EvalError(
+                f"matrix ids ({len(X.compounds)} compounds x "
+                f"{len(X.targets)} targets) are not the model's "
+                f"({len(model.compounds)} x {len(model.targets)}) in order")
+
+
 def rmse(model, held_out):
     """Root mean square error of the model on the stored entries of the
-    held-out matrix, in stored order; never on its zeros."""
+    held-out matrix, in stored order; never on its zeros.  The matrix must
+    have the model's ids."""
     coo = _csr_of(held_out).tocoo()
+    _check_ids(model, held_out)
     if not coo.nnz:
         raise EvalError("held-out set is empty")
     preds = np.einsum("ij,ij->i", model.U[coo.row], model.V[coo.col])
@@ -112,14 +126,16 @@ def recall_at_k(model, train_X, test_X, k_list=(30, 50, 100),
     Eligible compounds have at least `min_train_targets` targets stored in
     the training matrix and `min_test_targets` in the held-out matrix; up
     to `sample_size` of them are drawn without replacement.  For each,
-    every target is scored; by default the compound's training targets are
-    pushed out of the ranking (disable via `exclude_train_targets` to rank
-    them too).  Recall at k is the fraction of the compound's held-out
-    targets ranked in the top k.
+    every target is scored and ranked by `ranking.top_columns`; by default
+    the compound's training targets are pushed out of the ranking (disable
+    via `exclude_train_targets` to rank them too).  Recall at k is the
+    fraction of the compound's held-out targets ranked in the top k.  Both
+    matrices must have the model's ids.
     """
     k_list = _recall_arguments(k_list, sample_size, min_train_targets,
                                min_test_targets)
     train_csr, test_csr = _csr_of(train_X), _csr_of(test_X)
+    _check_ids(model, train_X, test_X)
     eligible = np.flatnonzero((np.diff(train_csr.indptr) >= min_train_targets)
                               & (np.diff(test_csr.indptr) >= min_test_targets))
     if not len(eligible):
@@ -132,17 +148,18 @@ def recall_at_k(model, train_X, test_X, k_list=(30, 50, 100),
     sampled = rng.choice(eligible, size=take, replace=False)
 
     recalls = {k: np.empty(take) for k in k_list}
-    n_targets = model.V.shape[0]
-    ranks = np.empty(n_targets, dtype=np.int64)
+    depth = max(k_list)
+    ranks = np.full(model.V.shape[0], depth)  # depth means "not in the top"
     for at, row in enumerate(sampled):
         scores = model.score_targets(int(row))
         if exclude_train_targets:
             lo, hi = train_csr.indptr[row], train_csr.indptr[row + 1]
             scores[train_csr.indices[lo:hi]] = -np.inf
-        order = np.argsort(-scores, kind="stable")
-        ranks[order] = np.arange(n_targets)
+        top = top_columns(scores, depth)
+        ranks[top] = np.arange(len(top))
         test_ranks = ranks[test_csr.indices[
             test_csr.indptr[row]:test_csr.indptr[row + 1]]]
+        ranks[top] = depth
         for k in k_list:
             recalls[k][at] = np.count_nonzero(test_ranks < k) / len(test_ranks)
 

@@ -19,6 +19,7 @@ import numpy as np
 
 from .corpus import _tsv_chunks
 from .errors import FormatError, NoRelevantCompoundsError
+from .ranking import top_columns
 
 log = logging.getLogger(__name__)
 
@@ -189,8 +190,9 @@ def build_reference_set(corpus, config):
     expected = counts * n_relevant / n_corpus
     diff = observed - expected
     scores = diff * diff / expected
-    # columns are in label order, so the stable sort breaks the last ties
-    # by label name
+    # a rule of its own, not `top_columns`: equal scores rank by higher O
+    # first.  Columns are in label order, so the stable sort breaks the last
+    # ties by label name
     kept = np.lexsort((-observed, -scores))[:config.set_size]
     labels = tuple(map(
         ScoredLabel, map(index.labels.__getitem__, candidates[kept].tolist()),
@@ -207,7 +209,8 @@ def retrieve(corpus, reference_set, exclude=frozenset(), top_n=DEFAULT_TOP_N):
     source: labels outside the reference set count toward L, so
     promiscuously labeled compounds are diluted.  Zero-scoring compounds
     (unlabeled, unmatched, or matched scores summing to 0) are omitted.
-    Ties are broken by compound id, so output is deterministic.
+    The rest are ranked by `ranking.top_columns` over the corpus rows, which
+    are in compound id order.
 
     All documents are scored at once as (B @ w) / L, with B the source's
     compound x label matrix and w the reference score of each label column.
@@ -235,7 +238,7 @@ def retrieve(corpus, reference_set, exclude=frozenset(), top_n=DEFAULT_TOP_N):
     excluded = frozenset(c for c in exclude if corpus.has_compound(c))
     scores[corpus.positions(excluded)] = 0.0
     hits = np.flatnonzero(scores != 0.0)
-    ranked = hits[np.lexsort((hits, -scores[hits]))][:top_n]
+    ranked = hits[top_columns(scores[hits], top_n)]
 
     # a ranked row has a nonzero score, so L > 0 and its last column is the
     # end of its slice of the matched labels

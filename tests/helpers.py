@@ -15,6 +15,8 @@ its degrees.  `sequential_train` runs the trainers' updates one after
 another on one thread, with `sequential_product`'s S U, the reference the
 trainers' overlapped S U must equal float for float.
 `same_corpus` compares two corpora through their public accessors.
+`oracle_top_columns` is the ranking rule spelled as one Python sort, the
+reference for `top_columns`.
 `triple_folds` and `triple_training_matrix` hold each cross-validation fold
 as (row, col, value) triples, the reference for the fold-id array and the
 masks cut from it.
@@ -162,6 +164,14 @@ def oracle_ranking(compound_ids, label_rows, *, source, ref_scores,
     return [(cid, score, n_labels,
              tuple(sorted(l for l in labels_by_compound[cid] if l in ref_scores)))
             for cid, (score, n_labels) in ranked]
+
+
+def oracle_top_columns(scores, k):
+    """The indices of the `k` highest scores, by descending score and then
+    ascending index, with `-inf` scores left out; a plain list of ints."""
+    ranked = sorted((-score, index) for index, score in enumerate(scores)
+                    if score != -math.inf)
+    return [index for _, index in ranked[:k]]
 
 
 def jaccard(a, b):

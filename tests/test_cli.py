@@ -2,15 +2,19 @@ import argparse
 import os
 import re
 
+import numpy as np
 import pytest
 
 from helpers import compound_order_csr
 
 from repurpose import (
+    FactorModel,
+    TrainConfig,
     build_interaction_matrix,
     build_similarity_matrix,
     load_corpus,
     load_model,
+    save_model,
 )
 import repurpose.cli
 from repurpose.cli import main
@@ -116,6 +120,17 @@ def data_dir(tmp_path, capsys):
     assert code == 0
     capsys.readouterr()
     return directory
+
+
+def save_hand_model(path, compounds, targets, target_factors):
+    """Save a rank-1 model whose every compound factor is 1, so a compound's
+    score for target j is `target_factors[j]`."""
+    save_model(FactorModel(
+        U=np.ones((len(compounds), 1)),
+        V=np.asarray(target_factors, dtype=np.float64)[:, None],
+        compounds=tuple(compounds), targets=tuple(targets),
+        config=TrainConfig(rank=1), objective_trace=np.zeros(1),
+        converged=True), path)
 
 
 def read_tree(directory):
@@ -495,6 +510,54 @@ class TestTrainEvaluateRecommend:
             # a plain float literal, the shortest that reads back exactly
             assert score == repr(float(want))
             assert float(score) == want
+
+    def test_recommend_writes_no_row_when_every_target_is_known(
+            self, data_dir, tmp_path, capsys):
+        corpus = load_corpus(data_dir / "compounds.tsv",
+                             data_dir / "labels.tsv",
+                             data_dir / "activities.tsv")
+        known = sorted(corpus.targets_of("C00000", "IC50"))
+        model_path = tmp_path / "model.tsv"
+        save_hand_model(model_path, ["C00000"], known, [1.0] * len(known))
+        code, out = run(capsys, "recommend", "--data-dir", str(data_dir),
+                        "--model", str(model_path), "--compounds", "C00000")
+        assert code == 0
+        assert out == "compound_id\trank\ttarget_id\tscore\n"
+
+    def test_recommend_k_above_target_count_lists_each_unknown_once(
+            self, data_dir, tmp_path, capsys):
+        model_path = tmp_path / "model.tsv"
+        run(capsys, "train", "--data-dir", str(data_dir), "--rank", "3",
+            "--max-iters", "20", "--seed", "4", "--out", str(model_path))
+        model = load_model(model_path)
+        corpus = load_corpus(data_dir / "compounds.tsv",
+                             data_dir / "labels.tsv",
+                             data_dir / "activities.tsv")
+        compounds = ("C00000", "C00001", "C00002")
+        code, out = run(capsys, "recommend", "--data-dir", str(data_dir),
+                        "--model", str(model_path), "--compounds",
+                        ",".join(compounds), "-k", "250")
+        assert code == 0
+        body = [line.split("\t") for line in out.splitlines()[1:]]
+        for compound in compounds:
+            rows = [row for row in body if row[0] == compound]
+            unknown = set(model.targets) - corpus.targets_of(compound, "IC50")
+            assert 0 < len(unknown) < len(model.targets)
+            assert [row[1] for row in rows] == \
+                [str(rank) for rank in range(1, len(unknown) + 1)]
+            assert sorted(row[2] for row in rows) == sorted(unknown)
+
+    def test_recommend_lists_tied_targets_lower_column_first(
+            self, tmp_path, capsys):
+        # columns 1 and 2 tie; lower column first, not lower target id
+        model_path = tmp_path / "model.tsv"
+        save_hand_model(model_path, ["C1"], ["T9", "T5", "T1", "T0"],
+                        [1.0, 2.0, 2.0, 0.5])
+        code, out = run(capsys, "recommend", "--model", str(model_path),
+                        "--compounds", "C1", "-k", "3", "--include-known")
+        assert code == 0
+        assert out.splitlines()[1:] == [
+            "C1\t1\tT5\t2.0", "C1\t2\tT1\t2.0", "C1\t3\tT9\t1.0"]
 
     def test_recommend_unknown_compound_is_runtime_error(self, data_dir,
                                                          tmp_path, capsys):

@@ -8,6 +8,7 @@ from repurpose import (
     EvalError,
     FactorizationError,
     FactorModel,
+    InteractionMatrix,
     TrainConfig,
     cross_validate,
     format_eval_table,
@@ -24,13 +25,14 @@ from repurpose.evaluation import _masked_entries
 from repurpose.factorization import build_interaction_matrix
 
 
-def make_model(U, V, compounds=None, targets=None):
+def make_model(U, V):
+    """A model over the ids "0", "1", ... that `matrix_of` gives X."""
     U = np.asarray(U, dtype=np.float64)
     V = np.asarray(V, dtype=np.float64)
     return FactorModel(
         U=U, V=V,
-        compounds=compounds or tuple(f"c{i}" for i in range(U.shape[0])),
-        targets=targets or tuple(f"t{j}" for j in range(V.shape[0])),
+        compounds=tuple(str(i) for i in range(U.shape[0])),
+        targets=tuple(str(j) for j in range(V.shape[0])),
         config=TrainConfig(rank=U.shape[1]),
         objective_trace=np.zeros(1), converged=True)
 
@@ -218,6 +220,43 @@ class TestRmse:
         model = make_model([[1.0]], [[1.0]])
         with pytest.raises(EvalError):
             rmse(model, from_triples([], (1, 1)))
+
+
+class TestModelIdsMustMatch:
+    """rmse and recall_at_k refuse a matrix whose ids are not the model's."""
+
+    def _score_both(self, model, X):
+        with pytest.raises(EvalError, match="not the model's"):
+            rmse(model, X)
+        with pytest.raises(EvalError, match="not the model's"):
+            recall_at_k(model, X, X, k_list=(2,), min_train_targets=1,
+                        min_test_targets=1)
+
+    @pytest.mark.parametrize("model_targets, matrix_targets",
+                             [(8, 12), (12, 8)])
+    def test_target_count_differs(self, model_targets, matrix_targets):
+        rng = np.random.default_rng(3)
+        X = planted_matrix(rng, n=20, m=matrix_targets)
+        self._score_both(make_model(rng.random((20, 2)),
+                                    rng.random((model_targets, 2))), X)
+
+    def test_reversed_compound_ids(self):
+        rng = np.random.default_rng(5)
+        X = planted_matrix(rng, n=20, m=12)
+        model = make_model(rng.random((20, 2)), rng.random((12, 2)))
+        rmse(model, X)  # the same ids in the same order are accepted
+        reversed_ids = InteractionMatrix(X.compounds[::-1], X.targets, X.matrix)
+        self._score_both(model, reversed_ids)
+
+    def test_recall_checks_the_training_matrix_too(self):
+        rng = np.random.default_rng(6)
+        X = planted_matrix(rng, n=20, m=12)
+        model = make_model(rng.random((20, 2)), rng.random((12, 2)))
+        renamed = InteractionMatrix(X.compounds, tuple(
+            "t" + t for t in X.targets), X.matrix)
+        with pytest.raises(EvalError, match="not the model's"):
+            recall_at_k(model, renamed, X, k_list=(2,), min_train_targets=1,
+                        min_test_targets=1)
 
 
 class TestRecallAtK:
