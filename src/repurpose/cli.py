@@ -35,6 +35,12 @@ from .factorization import (
     train_nmf,
 )
 from .noir import (
+    DEFAULT_ACTIVITY_TYPE,
+    DEFAULT_MIN_RELEVANT_COUNT,
+    DEFAULT_NOISE_CAP,
+    DEFAULT_SET_SIZE,
+    DEFAULT_THRESHOLD_NM,
+    DEFAULT_TOP_N,
     ReferenceSetConfig,
     build_reference_set,
     consensus,
@@ -46,6 +52,7 @@ from .noir import (
 from .ranking import top_columns
 from .similarity import build_similarity_matrix
 from .synthetic import SyntheticSpec, generate_synthetic
+from .tsv import tsv_text, write_tsv
 
 log = logging.getLogger("repurpose")
 
@@ -68,6 +75,20 @@ def _data_paths(data_dir):
 def _load(data_dir):
     paths = _data_paths(data_dir)
     return load_corpus(paths["compounds"], paths["labels"], paths["activities"])
+
+
+def _check_output(path, directory=False):
+    """Report an output path that cannot be written as a usage error.  A
+    file is written over or made in an existing directory; with `directory`,
+    a directory is reused or made under the nearest existing one above it."""
+    target, want_dir = os.path.abspath(path), directory
+    if not os.path.exists(target):
+        target, want_dir = os.path.dirname(target), True
+        while directory and not os.path.exists(target):
+            target = os.path.dirname(target)
+    if os.path.isdir(target) != want_dir or not os.access(target, os.W_OK):
+        kind = "directory" if directory else "file"
+        raise ConfigError(f"cannot write output {kind} {path}")
 
 
 def _log_config(args):
@@ -145,6 +166,7 @@ def cmd_generate_synthetic(args):
         sources=tuple(args.sources.split(",")),
         activity_type=args.activity_type, label_noise=args.label_noise,
         activity_noise=args.activity_noise)
+    _check_output(args.out_dir, directory=True)
     paths, _ = generate_synthetic(spec, args.out_dir, seed=args.seed)
     for path in paths:
         print(path)
@@ -175,6 +197,7 @@ def cmd_noir(args):
         raise ConfigError(f"--sources {args.sources!r} repeats a source")
     if args.top_n < 1:
         raise ConfigError(f"--top-n must be >= 1, got {args.top_n}")
+    _check_output(args.out_dir, directory=True)
     # every flag and hand-edited query file is checked before any output
     configs, edited = {}, {}
     for source in sources:
@@ -220,10 +243,8 @@ def cmd_noir(args):
         return 0
     agreed = consensus(*results.values())
     consensus_path = os.path.join(args.out_dir, "consensus.tsv")
-    with open(consensus_path, "w", encoding="utf-8") as fh:
-        fh.write("compound_id\n")
-        for compound in sorted(agreed):
-            fh.write(compound + "\n")
+    write_tsv(consensus_path, ("compound_id",),
+              ((compound,) for compound in sorted(agreed)))
     log.info("consensus: %d compounds -> %s", len(agreed), consensus_path)
     return 0
 
@@ -260,6 +281,7 @@ def _log_iteration():
 
 
 def cmd_train(args):
+    _check_output(args.out)
     corpus = _load(args.data_dir)
     config = _train_config(args)
     source = _similarity_source(args.similarity, corpus)
@@ -290,6 +312,7 @@ def cmd_evaluate(args):
             "--min-train-targets and --min-test-targets must be >= 1")
     if args.sample_size < 1:
         raise ConfigError(f"--sample-size must be >= 1, got {args.sample_size}")
+    _check_output(args.out_dir, directory=True)
     corpus = _load(args.data_dir)
     sources = [_similarity_source(choice, corpus)
                for choice in args.similarity or ["none"]]
@@ -339,6 +362,8 @@ def cmd_recommend(args):
         raise ConfigError(f"-k must be >= 1, got {args.k}")
     if not os.path.isfile(args.model):
         raise ConfigError(f"model file not found: {args.model}")
+    if args.out:
+        _check_output(args.out)
     model = load_model(args.model)
     compounds = [c for c in args.compounds.split(",") if c]
     if not compounds:
@@ -350,7 +375,7 @@ def cmd_recommend(args):
         for compound in compounds:
             known[compound] = corpus.targets_of(compound, args.activity_type)
 
-    lines = ["compound_id\trank\ttarget_id\tscore"]
+    rows = []
     for compound in compounds:
         row = model.row_of(compound)
         scores = model.score_targets(row)
@@ -358,15 +383,15 @@ def cmd_recommend(args):
             col = model.target_pos.get(target)
             if col is not None:
                 scores[col] = -np.inf
-        for rank, col in enumerate(top_columns(scores, args.k), start=1):
-            lines.append(f"{compound}\t{rank}\t{model.targets[int(col)]}"
-                         f"\t{float(scores[col])!r}")
-    text = "\n".join(lines) + "\n"
+        rows.extend(
+            (compound, str(rank), model.targets[col], repr(float(scores[col])))
+            for rank, col in enumerate(top_columns(scores, args.k).tolist(),
+                                       start=1))
+    columns = ("compound_id", "rank", "target_id", "score")
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        write_tsv(args.out, columns, rows)
     else:
-        print(text, end="")
+        print(tsv_text(columns, rows), end="")
     return 0
 
 
@@ -380,16 +405,19 @@ def _add_data_dir(parser):
 
 
 def _add_train_flags(parser):
+    defaults = TrainConfig()
     parser.add_argument("--activity-type", default="IC50",
                         help="activity type entering the matrix (default IC50)")
-    parser.add_argument("--rank", type=int, default=50,
-                        help="latent dimension (default 50)")
-    parser.add_argument("--lambda", dest="lam", type=float, default=0.1,
-                        help="similarity regularization weight (default 0.1)")
-    parser.add_argument("--max-iters", type=int, default=200)
-    parser.add_argument("--tol", type=float, default=1e-5,
+    parser.add_argument("--rank", type=int, default=defaults.rank,
+                        help="latent dimension (default %(default)s)")
+    parser.add_argument("--lambda", dest="lam", type=float,
+                        default=defaults.lam,
+                        help="similarity regularization weight "
+                             "(default %(default)s)")
+    parser.add_argument("--max-iters", type=int, default=defaults.max_iters)
+    parser.add_argument("--tol", type=float, default=defaults.rel_tol,
                         help="relative objective-decrease stopping tolerance")
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seed", type=int, default=defaults.seed)
     parser.add_argument("--sim-threshold", type=float, default=0.0,
                         help="keep similarities >= this value (default 0)")
 
@@ -430,17 +458,17 @@ def build_parser():
     p.add_argument("--target", required=True)
     p.add_argument("--sources", default="CF,OC",
                    help="comma-separated label sources (default CF,OC)")
-    p.add_argument("--activity-type", default="EC50")
-    p.add_argument("--threshold", type=float, default=30.0,
+    p.add_argument("--activity-type", default=DEFAULT_ACTIVITY_TYPE)
+    p.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD_NM,
                    help="relevant set: activity strictly below this (nM)")
-    p.add_argument("--noise-cap", type=int, default=200_000,
+    p.add_argument("--noise-cap", type=int, default=DEFAULT_NOISE_CAP,
                    help="drop labels whose corpus count exceeds this")
-    p.add_argument("--min-count", type=int, default=2,
+    p.add_argument("--min-count", type=int, default=DEFAULT_MIN_RELEVANT_COUNT,
                    help="minimum observed count among relevant compounds")
-    p.add_argument("--set-size", type=int, default=20,
-                   help="reference set size (default 20)")
-    p.add_argument("--top-n", type=int, default=100,
-                   help="retrieval depth per source (default 100)")
+    p.add_argument("--set-size", type=int, default=DEFAULT_SET_SIZE,
+                   help="reference set size (default %(default)s)")
+    p.add_argument("--top-n", type=int, default=DEFAULT_TOP_N,
+                   help="retrieval depth per source (default %(default)s)")
     p.add_argument("--keep-relevant", action="store_true",
                    help="do not exclude the relevant set from retrieval")
     p.add_argument("--edited-references", metavar="DIR", default=None,

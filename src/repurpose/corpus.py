@@ -12,7 +12,7 @@ measurement per (compound, target, activity type) and held as one compound
 x target CSR per type, plus its transpose; relevant sets, known targets
 and the interaction matrix all read it.
 
-Files are read in chunks of about `_CHUNK_BYTES` of text, each split into
+Files are read by `repurpose.tsv` in chunks of text, each split into
 columns.  A column becomes int32 codes in one C-level pass of lookups in a
 dict that strips, checks and interns a field the first time it is seen, so
 Python-level work grows with the distinct ids, labels and targets, not with
@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 import scipy.sparse as sp
@@ -36,6 +35,7 @@ from .errors import (
     UnknownSourceError,
     UnknownTargetError,
 )
+from .tsv import _line_bound, _tsv_chunks, _unwritable
 
 # Well-known label sources. Any other non-empty string is accepted as a
 # source name; these constants just cover the common ones.
@@ -48,86 +48,10 @@ _LABELS_COLUMNS = ("compound_id", "source", "label")
 _ACTIVITIES_COLUMNS = ("compound_id", "target_id", "activity_type", "value_nM")
 
 
-# Text read from a file per chunk, in characters.
-_CHUNK_BYTES = 1 << 14
-
-
 def _read_tsv(path, columns, header_required):
     """(bound, chunks) for a TSV file: `bound` is at least its number of data
     rows, and `chunks` yields them as :func:`_tsv_chunks` does."""
     return _line_bound(path), _tsv_chunks(path, columns, header_required)
-
-
-def _line_bound(path):
-    """One more than the number of LF, CR and CRLF line ends in a file."""
-    bound = 1
-    with open(path, "rb") as fh:
-        for block in iter(lambda: fh.read(1 << 20), b""):
-            bound += (block.count(b"\n") + block.count(b"\r")
-                      - block.count(b"\r\n"))
-    return bound
-
-
-def _tsv_chunks(path, columns, header_required):
-    """Yield (linenos, fields) for the data rows of a TSV file, about
-    `_CHUNK_BYTES` of text at a time: fields[k][r] is column k of the row
-    on line linenos[r].
-
-    Lines end at LF after universal-newline decoding, so CRLF and a lone CR
-    end a line too.  Blank lines are skipped; lines starting with '#' are
-    comments only above the header row (or the first data row when the
-    header is left out), so a field may start with '#'.  A header row
-    matching `columns` (case-insensitive) is consumed when present; when
-    `header_required` it must be the first non-comment line, and a file
-    without one is reported at the line after its last.  A row with
-    the wrong number of fields raises FormatError once the rows above it
-    have been yielded, so the first bad row of the file is the one reported.
-    """
-    n_cols = len(columns)
-    canonical = tuple(c.lower() for c in columns)
-    missing = "missing header row (expected %s)" % "<TAB>".join(columns)
-    preamble, lineno, rest = True, 0, ""
-    with open(path, "r", encoding="utf-8") as fh:
-        while True:
-            text = fh.read(_CHUNK_BYTES)
-            lines = (rest + text).split("\n")
-            rest = lines.pop() if text else ""  # a line not ended yet
-            first, lineno = lineno + 1, lineno + len(lines)
-            start = 0
-            while preamble and start < len(lines):
-                line = lines[start]
-                if not line.strip() or line.startswith("#"):
-                    start += 1
-                    continue
-                preamble = False
-                if tuple(f.strip().lower() for f in line.split("\t")) == canonical:
-                    start += 1
-                elif header_required:
-                    raise FormatError(path, first + start, missing)
-            if preamble and header_required and not text:
-                # no header; the line after the last, which may be unended
-                raise FormatError(path, lineno + bool(lines[-1]), missing)
-            rows, linenos = lines[start:], range(first + start, lineno + 1)
-            if not all(map(str.strip, rows)):
-                kept = [k for k, line in enumerate(rows) if line.strip()]
-                rows, linenos = [rows[k] for k in kept], [linenos[k] for k in kept]
-            tabs = list(map(str.count, rows, repeat("\t")))
-            if tabs.count(n_cols - 1) < len(tabs):
-                k = next(k for k, n in enumerate(tabs) if n != n_cols - 1)
-                if k:
-                    yield linenos[:k], _columns(rows[:k], n_cols)
-                raise FormatError(path, linenos[k], f"expected {n_cols} "
-                                  f"tab-separated columns, got {tabs[k] + 1}")
-            if rows:
-                yield linenos, _columns(rows, n_cols)
-            if not text:
-                return
-
-
-def _columns(rows, n_cols):
-    """The fields of tab-separated rows of `n_cols` fields, column by column."""
-    fields = "\t".join(rows).split("\t")
-    return [fields[k::n_cols] for k in range(n_cols)]
 
 
 def _memory_rows(rows, n_cols):
@@ -331,11 +255,6 @@ class Corpus:
                 f"{len(self._target_ids)} targets, "
                 f"{self.n_activity_records} activity records, "
                 f"sources={list(self._sources)})")
-
-
-def _unwritable(text):
-    """True when `text` holds a tab, CR or LF, which no TSV field can carry."""
-    return "\t" in text or "\r" in text or "\n" in text
 
 
 # Codes of rejected fields; every legal field's code is >= 0.

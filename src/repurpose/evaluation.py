@@ -25,6 +25,7 @@ from .factorization import (
     train_nmf,
 )
 from .ranking import top_columns
+from .tsv import write_tsv
 
 
 def _masked_entries(X, mask):
@@ -241,24 +242,16 @@ def write_eval_report_tsv(reports, path):
     """Machine-readable report: one metric per row, one variant per column."""
     reports = list(reports)
     k_values = sorted({k for r in reports for k in r.recall})
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("metric\t" + "\t".join(r.label for r in reports) + "\n")
-        fh.write("rmse_mean\t" + "\t".join(
-            f"{r.mean_rmse:.6f}" for r in reports) + "\n")
-        n_folds = max(len(r.fold_rmse) for r in reports)
-        for f in range(n_folds):
-            fh.write(f"rmse_fold_{f + 1}\t" + "\t".join(
-                f"{r.fold_rmse[f]:.6f}" if f < len(r.fold_rmse) else ""
-                for r in reports) + "\n")
-        for k in k_values:
-            fh.write(f"recall_at_{k}_mean\t" + "\t".join(
-                f"{r.recall[k][0]:.6f}" if k in r.recall else ""
-                for r in reports) + "\n")
-            fh.write(f"recall_at_{k}_std\t" + "\t".join(
-                f"{r.recall[k][1]:.6f}" if k in r.recall else ""
-                for r in reports) + "\n")
-        fh.write("sampled_compounds\t" + "\t".join(
-            str(r.n_sampled) for r in reports) + "\n")
+    n_folds = max(len(r.fold_rmse) for r in reports)
+    rows = [("rmse_mean", *(f"{r.mean_rmse:.6f}" for r in reports))]
+    rows += [(f"rmse_fold_{f + 1}", *(
+        f"{r.fold_rmse[f]:.6f}" if f < len(r.fold_rmse) else ""
+        for r in reports)) for f in range(n_folds)]
+    rows += [(f"recall_at_{k}_{stat}", *(
+        f"{r.recall[k][i]:.6f}" if k in r.recall else "" for r in reports))
+        for k in k_values for i, stat in enumerate(("mean", "std"))]
+    rows.append(("sampled_compounds", *(str(r.n_sampled) for r in reports)))
+    write_tsv(path, ("metric", *(r.label for r in reports)), rows)
 
 
 def format_eval_table(reports):
@@ -281,8 +274,6 @@ def format_eval_table(reports):
 
 def write_rank_recall_tsv(report, path):
     """Rank-recall curve data: k, mean recall, std -- one row per k."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("k\tmean_recall\tstd\n")
-        for k in sorted(report.recall):
-            mean, std = report.recall[k]
-            fh.write(f"{k}\t{mean:.6f}\t{std:.6f}\n")
+    write_tsv(path, ("k", "mean_recall", "std"), (
+        (str(k), f"{mean:.6f}", f"{std:.6f}")
+        for k, (mean, std) in sorted(report.recall.items())))

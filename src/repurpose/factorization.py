@@ -21,6 +21,7 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 
+from .corpus import _min_csr
 from .errors import (
     FactorizationError,
     FormatError,
@@ -137,20 +138,21 @@ def build_interaction_matrix(corpus, activity_types="IC50"):
         wanted = "any type" if activity_types is None else ", ".join(sorted(allowed))
         raise NoInteractionsError(f"no activity record matches type filter ({wanted})")
 
-    # the selected types' entries, with those of one pair made adjacent; the
-    # minimum of each run is the pair's value
+    # the most potent value of each pair over the selected types, then only
+    # the rows and columns that hold an entry
     rows, cols, values = (np.concatenate(arrays) for arrays in zip(
         *((part.row, part.col, part.data) for part in parts)))
-    order = np.argsort(rows.astype(np.int64) * len(corpus.target_ids()) + cols)
-    rows, cols, values = rows[order], cols[order], values[order]
-    first = np.flatnonzero(np.diff(rows, prepend=-1) | np.diff(cols, prepend=-1))
-    row_ids, rows = np.unique(rows[first], return_inverse=True)
-    col_ids, cols = np.unique(cols[first], return_inverse=True)
+    merged = _min_csr(rows, cols, values,
+                      (corpus.n_compounds, len(corpus.target_ids())))
+    row_ids = np.flatnonzero(np.diff(merged.indptr))
+    used = np.bincount(merged.indices, minlength=merged.shape[1]) > 0
+    col_ids, column = np.flatnonzero(used), np.cumsum(used) - 1
     compounds = tuple(corpus.compound_ids()[i] for i in row_ids.tolist())
     targets = tuple(corpus.target_ids()[j] for j in col_ids.tolist())
-    data = transform_activity(np.minimum.reduceat(values, first))
-    matrix = sp.csr_matrix((data, (rows, cols)),
-                           shape=(len(compounds), len(targets)))
+    matrix = sp.csr_matrix(
+        (transform_activity(merged.data), column[merged.indices],
+         merged.indptr[np.concatenate(([0], row_ids + 1))]),
+        shape=(len(compounds), len(targets)))
     return InteractionMatrix(compounds, targets, matrix)
 
 

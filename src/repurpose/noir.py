@@ -17,9 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import _tsv_chunks
 from .errors import FormatError, NoRelevantCompoundsError
 from .ranking import top_columns
+from .tsv import _tsv_chunks, write_tsv
 
 log = logging.getLogger(__name__)
 
@@ -271,17 +271,10 @@ _REPORT_COLUMNS = ("rank", "compound_id", "score", "L", "matched_labels")
 
 def write_reference_set(reference_set, path):
     """Write a reference set as an editable TSV query file."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\t".join(_REFSET_COLUMNS) + "\n")
-        for sl in reference_set.labels:
-            fh.write("\t".join((
-                sl.label,
-                reference_set.source,
-                str(sl.observed),
-                repr(sl.expected),
-                str(sl.corpus_count),
-                repr(sl.score),
-            )) + "\n")
+    write_tsv(path, _REFSET_COLUMNS, (
+        (sl.label, reference_set.source, str(sl.observed), repr(sl.expected),
+         str(sl.corpus_count), repr(sl.score))
+        for sl in reference_set.labels))
 
 
 def read_reference_set(path, target=""):
@@ -327,13 +320,7 @@ def read_reference_set(path, target=""):
 
 def write_retrieval_report(result, path):
     """Write a ranked retrieval as TSV (matched labels semicolon-joined)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\t".join(_REPORT_COLUMNS) + "\n")
-        for rank, entry in enumerate(result.entries, start=1):
-            fh.write("\t".join((
-                str(rank),
-                entry.compound,
-                repr(entry.score),
-                str(entry.n_labels),
-                ";".join(entry.matched),
-            )) + "\n")
+    write_tsv(path, _REPORT_COLUMNS, (
+        (str(rank), entry.compound, repr(entry.score), str(entry.n_labels),
+         ";".join(entry.matched))
+        for rank, entry in enumerate(result.entries, start=1)))

@@ -17,6 +17,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .tsv import _unwritable, write_tsv
+
 # Labels of its cluster's pool that every compound carries, per source.
 _CORE_LABELS = 2
 # Own-cluster records are potent at this rate, else moderate; noise is weak.
@@ -54,6 +56,10 @@ class SyntheticSpec:
             raise ValueError("labels_per_compound exceeds the cluster pool size")
         if not self.sources:
             raise ValueError("need at least one label source")
+        for name in (*self.sources, self.activity_type):
+            if not name.strip() or _unwritable(name):
+                raise ValueError("a source or activity type must be non-empty "
+                                 f"and hold no tab, CR or LF, got {name!r}")
         lo, hi = self.targets_per_compound
         if not 1 <= lo <= hi:
             raise ValueError("targets_per_compound must be an increasing range >= 1")
@@ -158,23 +164,15 @@ def generate_synthetic(spec, out_dir, seed=0):
         activities=os.path.join(out_dir, "activities.tsv"),
         clusters=os.path.join(out_dir, "clusters.tsv"),
     )
-    with open(paths.compounds, "w", encoding="utf-8") as fh:
-        fh.write("compound_id\tsmiles\n")
-        for compound in compounds:
-            fh.write(f"{compound}\t\n")
-    with open(paths.labels, "w", encoding="utf-8") as fh:
-        fh.write("compound_id\tsource\tlabel\n")
-        for compound, source, label in label_rows:
-            fh.write(f"{compound}\t{source}\t{label}\n")
-    with open(paths.activities, "w", encoding="utf-8") as fh:
-        fh.write("compound_id\ttarget_id\tactivity_type\tvalue_nM\n")
-        for compound, target, value in activity_rows:
-            fh.write(f"{compound}\t{target}\t{spec.activity_type}\t{value:.4f}\n")
-    with open(paths.clusters, "w", encoding="utf-8") as fh:
-        fh.write("entity_id\tkind\tcluster\n")
-        for compound in compounds:
-            fh.write(f"{compound}\tcompound\t{compound_cluster[compound]}\n")
-        for target in targets:
-            fh.write(f"{target}\ttarget\t{target_cluster[target]}\n")
+    write_tsv(paths.compounds, ("compound_id", "smiles"),
+              ((compound, "") for compound in compounds))
+    write_tsv(paths.labels, ("compound_id", "source", "label"), label_rows)
+    write_tsv(paths.activities,
+              ("compound_id", "target_id", "activity_type", "value_nM"),
+              ((compound, target, spec.activity_type, f"{value:.4f}")
+               for compound, target, value in activity_rows))
+    write_tsv(paths.clusters, ("entity_id", "kind", "cluster"), [
+        *((c, "compound", str(g)) for c, g in compound_cluster.items()),
+        *((t, "target", str(g)) for t, g in target_cluster.items())])
 
     return paths, SyntheticTruth(compound_cluster, target_cluster)

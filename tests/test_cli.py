@@ -32,7 +32,9 @@ def _case(case_id, *argv):
 
 # One bad invocation per numeric flag of each subcommand, plus other bad
 # values that are checked: each must exit 2 with a single ERROR line and
-# write nothing.
+# write nothing.  `a-dir` (an empty directory) and `a-file` (an empty file)
+# exist in the working directory, for the output paths that cannot be
+# written.
 # `--data-dir` is appended for every subcommand but generate-synthetic,
 # which reads no corpus.
 INVALID_FLAG_CASES = [
@@ -104,6 +106,19 @@ INVALID_FLAG_CASES = [
           "--activity-noise", "nan", "--out-dir", "syn"),
     _case("synthetic-seed-negative", "generate-synthetic", "--seed", "-1",
           "--out-dir", "syn"),
+    _case("synthetic-source-empty", "generate-synthetic", "--sources", "CF,",
+          "--out-dir", "syn"),
+    _case("train-out-is-dir", "train", "--rank", "2", "--max-iters", "5",
+          "--out", "a-dir"),
+    _case("train-out-in-missing-dir", "train", "--rank", "2", "--max-iters",
+          "5", "--out", "no-dir/m.tsv"),
+    _case("recommend-out-is-dir", "recommend", "--model", "model.tsv",
+          "--compounds", "C00000", "--out", "a-dir"),
+    _case("noir-out-dir-under-file", "noir", "--target", "T0000",
+          "--activity-type", "IC50", "--out-dir", "a-file/sub"),
+    _case("evaluate-out-dir-under-file", "evaluate", "--out-dir", "a-file/sub"),
+    _case("synthetic-out-dir-under-file", "generate-synthetic",
+          "--out-dir", "a-file/sub"),
 ]
 
 # Numeric flags that accept every value argparse can parse, so no invalid
@@ -613,6 +628,8 @@ class TestParser:
                                                   tmp_path, capsys,
                                                   monkeypatch):
         monkeypatch.chdir(tmp_path)
+        (tmp_path / "a-dir").mkdir()
+        (tmp_path / "a-file").write_text("")
         if argv[0] == "recommend":
             # a real model, so that only the flag is wrong
             assert main(["train", "--data-dir", str(data_dir), "--rank", "2",
@@ -631,6 +648,7 @@ class TestParser:
                 out = tmp_path / argv[argv.index(flag) + 1]
                 assert not out.exists() or (out.is_dir()
                                             and not any(out.iterdir()))
+        assert (tmp_path / "a-file").read_text() == ""
 
     def test_every_numeric_flag_has_an_invalid_case(self):
         from repurpose.cli import build_parser

@@ -13,8 +13,8 @@ from repurpose import (
     UnknownCompoundError,
     UnknownSourceError,
     UnknownTargetError,
-    corpus as corpus_module,
     load_corpus,
+    tsv,
 )
 
 
@@ -267,10 +267,10 @@ class TestChunkBoundaries:
     """The chunked reader gives the same corpus and the same errors whatever
     the chunk size: one character, a few rows, or the default."""
 
-    @pytest.fixture(autouse=True, params=[1, 300, corpus_module._CHUNK_BYTES],
+    @pytest.fixture(autouse=True, params=[1, 300, tsv._CHUNK_BYTES],
                     ids=["chunk-1", "chunk-300", "chunk-default"])
     def chunk_bytes(self, request, monkeypatch):
-        monkeypatch.setattr(corpus_module, "_CHUNK_BYTES", request.param)
+        monkeypatch.setattr(tsv, "_CHUNK_BYTES", request.param)
 
     @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"],
                              ids=["lf", "crlf", "cr"])

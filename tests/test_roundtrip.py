@@ -1,5 +1,9 @@
 """Every writer/reader pair gives back every legal id and label.
 
+Every table goes through `repurpose.tsv`: `write_tsv` and the chunked
+reader are checked as a pair on their own, and then through the writers of
+the files nothing in the package reads back (retrieval and eval reports).
+
 A legal id or label is non-empty after stripping surrounding whitespace
 and holds no tab, CR or LF.  The strategies lean on the ids a line-based
 reader is most likely to mistake for something else: comment-like `#`
@@ -12,6 +16,7 @@ from pathlib import Path
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -20,18 +25,24 @@ from helpers import same_corpus, write_corpus_files
 
 from repurpose import (
     Corpus,
+    EvalReport,
     FactorModel,
+    RankedCompound,
     ReferenceLabelSet,
     ReferenceSetConfig,
+    RetrievalResult,
     ScoredLabel,
     TrainConfig,
-    corpus,
     load_corpus,
     load_model,
     read_reference_set,
     save_model,
+    tsv,
+    write_eval_report_tsv,
     write_reference_set,
+    write_retrieval_report,
 )
+from repurpose.noir import _REPORT_COLUMNS
 
 TRICKY_IDS = (
     "#c1", "#", "# comment", "[U]", "[trace]", "[config]", "123", "007",
@@ -45,6 +56,56 @@ legal_ids = st.one_of(st.sampled_from(TRICKY_IDS),
                       field_text.filter(str.strip),
                       st.integers(0, 10**6).map(str))
 finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+def _read_rows(path, columns):
+    """Every data row of a table, as tuples, through the chunked reader."""
+    return [row for _, fields in tsv._tsv_chunks(path, columns,
+                                                 header_required=True)
+            for row in zip(*fields)]
+
+
+@st.composite
+def tables(draw):
+    n_cols = draw(st.integers(1, 6))
+    rows = draw(st.lists(st.tuples(*[legal_ids] * n_cols), max_size=10))
+    return tuple(f"column_{k}" for k in range(n_cols)), rows
+
+
+@given(tables(), st.sampled_from([1, 7, tsv._CHUNK_BYTES]))
+def test_table_round_trip(table, chunk_bytes):
+    columns, rows = table
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "table.tsv"
+        tsv.write_tsv(path, columns, rows)
+        with mock.patch.object(tsv, "_CHUNK_BYTES", chunk_bytes):
+            assert _read_rows(path, columns) == rows
+
+
+@pytest.mark.parametrize("columns, rows, where", [
+    (("a", "b"), [("x", "y"), ("x", "y\tz")], "row 2"),
+    (("a", "b"), [("x", "y\nz")], "row 1"),
+    (("a", "b"), [("x", "y\rz")], "row 1"),
+    (("a", "b"), [("x", "y"), ("x",)], "row 2"),
+    (("a", "b\tc"), [("x", "y")], "header row"),
+])
+def test_unwritable_table_is_refused_before_the_file_is_made(
+        tmp_path, columns, rows, where):
+    path = tmp_path / "table.tsv"
+    with pytest.raises(ValueError, match=where):
+        tsv.write_tsv(path, columns, rows)
+    assert not path.exists()
+
+
+def test_reference_set_with_a_tab_in_a_label_is_not_written(tmp_path):
+    labels = (ScoredLabel("a", 3, 1.5, 10, 2.0),
+              ScoredLabel("a\tb", 2, 1.0, 5, 1.0))
+    reference = ReferenceLabelSet(ReferenceSetConfig(target="T", source="CF"),
+                                  frozenset(), 0, labels)
+    path = tmp_path / "reference.tsv"
+    with pytest.raises(ValueError, match="row 2"):
+        write_reference_set(reference, path)
+    assert not path.exists()
 
 
 @st.composite
@@ -73,7 +134,7 @@ def test_corpus_files_load_as_built(rows):
 
 @given(corpus_rows())
 def test_corpus_files_load_as_built_in_one_character_chunks(rows):
-    with mock.patch.object(corpus, "_CHUNK_BYTES", 1):
+    with mock.patch.object(tsv, "_CHUNK_BYTES", 1):
         _check_load_as_built(rows)
 
 
@@ -132,3 +193,64 @@ def test_model_round_trip(model):
     assert loaded.config == model.config
     assert (loaded.converged, loaded.regularized) \
         == (model.converged, model.regularized)
+
+
+@st.composite
+def retrievals(draw):
+    compounds = draw(st.lists(legal_ids, max_size=6, unique=True))
+    entries = tuple(RankedCompound(
+        compound, draw(finite), draw(st.integers(0, 10**6)),
+        tuple(draw(st.lists(legal_ids, max_size=3))))
+        for compound in compounds)
+    return RetrievalResult(entries, frozenset(), "CF")
+
+
+@given(retrievals())
+def test_retrieval_report_reads_back(result):
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "retrieval.tsv"
+        write_retrieval_report(result, path)
+        rows = _read_rows(path, _REPORT_COLUMNS)
+    assert [(int(rank), compound, float(score), int(n_labels), matched)
+            for rank, compound, score, n_labels, matched in rows] == [
+        (rank, e.compound, e.score, e.n_labels, ";".join(e.matched))
+        for rank, e in enumerate(result.entries, start=1)]
+
+
+@st.composite
+def eval_reports(draw):
+    names = draw(st.lists(legal_ids.map(str.strip), min_size=1, max_size=3,
+                          unique_by=str.lower))
+    ks = st.sets(st.integers(1, 500), max_size=3)
+    ratios = st.floats(0.0, 1.0)
+    return [EvalReport(
+        label=name, fold_rmse=tuple(draw(st.lists(st.floats(0.0, 100.0),
+                                                  min_size=1, max_size=4))),
+        recall={k: (draw(ratios), draw(ratios)) for k in draw(ks)},
+        n_sampled=draw(st.integers(0, 10**6))) for name in names]
+
+
+@given(eval_reports())
+def test_eval_report_reads_back(reports):
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "eval_report.tsv"
+        write_eval_report_tsv(reports, path)
+        rows = _read_rows(path, ("metric", *(r.label for r in reports)))
+    n_folds = max(len(r.fold_rmse) for r in reports)
+    k_values = sorted({k for r in reports for k in r.recall})
+    expected = {"rmse_mean": [r.mean_rmse for r in reports]}
+    for f in range(n_folds):
+        expected[f"rmse_fold_{f + 1}"] = [
+            r.fold_rmse[f] if f < len(r.fold_rmse) else None for r in reports]
+    for k in k_values:
+        for i, stat in enumerate(("mean", "std")):
+            expected[f"recall_at_{k}_{stat}"] = [
+                r.recall[k][i] if k in r.recall else None for r in reports]
+    expected["sampled_compounds"] = [r.n_sampled for r in reports]
+    assert [row[0] for row in rows] == list(expected)
+    for row, values in zip(rows, expected.values()):
+        for field, value in zip(row[1:], values):
+            if value is None:
+                assert field == ""
+            else:
+                assert abs(float(field) - value) <= 5e-7
