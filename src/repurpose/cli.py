@@ -133,14 +133,15 @@ def _check_source(corpus, source):
         raise ConfigError(str(exc)) from None
 
 
-def _similarity_source(choice, corpus):
-    """Map a --similarity flag value to a label source of `corpus` or None."""
+def _similarity_source(choice, corpus, lam):
+    """Map a --similarity flag value to a label source of `corpus`, or to
+    None when no graph is asked for or a zero `lam` would not use it."""
     if choice == "none":
         return None
     if choice.startswith("jaccard:") and len(choice) > len("jaccard:"):
         source = choice.split(":", 1)[1]
         _check_source(corpus, source)
-        return source
+        return source if lam > 0 else None
     raise ConfigError(
         f"bad --similarity {choice!r}; expected 'none' or 'jaccard:<SOURCE>'")
 
@@ -284,15 +285,18 @@ def cmd_train(args):
     _check_output(args.out)
     corpus = _load(args.data_dir)
     config = _train_config(args)
-    source = _similarity_source(args.similarity, corpus)
+    source = _similarity_source(args.similarity, corpus, config.lam)
     interactions = build_interaction_matrix(corpus, args.activity_type)
-    if source is None or args.lam == 0:
+    if source is None:
         model = train_nmf(interactions, config, on_iteration=_log_iteration())
     else:
         similarity = _build_graph(corpus, source, interactions,
                                   args.sim_threshold)
         model = train_csnmf(interactions, similarity, config,
                             on_iteration=_log_iteration())
+    if not model.converged:
+        log.warning("training stopped at max_iters (%d) without converging",
+                    config.max_iters)
     save_model(model, args.out)
     print(f"model\t{args.out}")
     print(f"shape\t{model.U.shape[0]}x{model.V.shape[0]}\trank\t{model.rank}")
@@ -314,7 +318,7 @@ def cmd_evaluate(args):
         raise ConfigError(f"--sample-size must be >= 1, got {args.sample_size}")
     _check_output(args.out_dir, directory=True)
     corpus = _load(args.data_dir)
-    sources = [_similarity_source(choice, corpus)
+    sources = [_similarity_source(choice, corpus, config.lam)
                for choice in args.similarity or ["none"]]
     interactions = build_interaction_matrix(corpus, args.activity_type)
     os.makedirs(args.out_dir, exist_ok=True)
@@ -322,15 +326,14 @@ def cmd_evaluate(args):
     reports = []
     seen = set()
     for source in sources:
-        regularized = source is not None and args.lam != 0
-        label = f"CS-NMF:{source}" if regularized else "NMF"
+        label = "NMF" if source is None else f"CS-NMF:{source}"
         if label in seen:
             log.warning("variant %s already evaluated; skipping duplicate", label)
             continue
         seen.add(label)
-        similarity = (_build_graph(corpus, source, interactions,
-                                   args.sim_threshold)
-                      if regularized else None)
+        similarity = (None if source is None else
+                      _build_graph(corpus, source, interactions,
+                                   args.sim_threshold))
         report = cross_validate(
             interactions, config, S=similarity, n_folds=args.folds,
             k_list=k_list, sample_size=args.sample_size,

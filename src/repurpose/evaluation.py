@@ -193,16 +193,14 @@ def cross_validate(X, config, S=None, n_folds=5, k_list=(30, 50, 100),
                    seed=0, exclude_train_targets=True, label=None):
     """Run the full protocol: split, train per fold, score RMSE and recall.
 
-    Trains the similarity-regularized model when `S`, a SimilarityMatrix
-    over `X.compounds` checked at any `lam`, is given and `config.lam` > 0,
-    plain NMF otherwise.  Per-compound recalls are pooled across folds.
+    Trains with `train_csnmf` when `S`, a SimilarityMatrix over
+    `X.compounds`, is given and `train_nmf` otherwise; the default label
+    says whether the trainer regularized.  Recalls are pooled across folds.
     """
     k_list = _recall_arguments(k_list, sample_size, min_train_targets,
                                min_test_targets)
     split = split_folds(X, n_folds=n_folds, seed=seed)
-    regularized = _similarity_graph(S, X) is not None and config.lam > 0
-    if label is None:
-        label = "CS-NMF" if regularized else "NMF"
+    _similarity_graph(S, X)  # checked before the first fold trains
 
     fold_rmse, fold_converged = [], []
     pooled = {k: [] for k in k_list}
@@ -211,10 +209,10 @@ def cross_validate(X, config, S=None, n_folds=5, k_list=(30, 50, 100),
         held_out_mask = split.fold == fold_index
         train_X = training_matrix(X, held_out_mask)
         held_out = _masked_entries(X, held_out_mask)
-        if regularized:
-            model = train_csnmf(train_X, S, config)
-        else:
+        if S is None:
             model = train_nmf(train_X, config)
+        else:
+            model = train_csnmf(train_X, S, config)
         fold_rmse.append(rmse(model, held_out))
         fold_converged.append(model.converged)
         result = recall_at_k(
@@ -227,6 +225,8 @@ def cross_validate(X, config, S=None, n_folds=5, k_list=(30, 50, 100),
         for k in pooled:
             pooled[k].append(result.recalls[k])
 
+    if label is None:
+        label = "CS-NMF" if model.regularized else "NMF"
     recall_summary = {}
     for k, chunks in pooled.items():
         values = np.concatenate(chunks)

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
@@ -184,14 +183,6 @@ def _similarity_graph(S, X):
     return S
 
 
-def _usable_cpus():
-    """The number of CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
 def _objective_from_products(x_sq, U, XV, gram_u, gram_v, lam=0.0,
                              degrees=None, SU=None):
     """J = 0.5 (||X||^2 - 2 <X V, U> + <U^T U, V^T V>), plus, when S U is
@@ -248,14 +239,15 @@ class FactorModel:
         return self.U[row] @ self.V.T
 
 
-def _train_core(X, S, lam, config, on_iteration):
+def _train_core(X, S, config, on_iteration):
     X_csr = _csr_of(X)
     n, m = X_csr.shape
     if config.rank > min(n, m):
         raise FactorizationError(
             f"rank {config.rank} exceeds min(rows, cols) = {min(n, m)}")
     graph = _similarity_graph(S, X)
-    regularize = lam > 0.0 and graph is not None
+    lam = config.lam
+    regularize = graph is not None and lam > 0.0
 
     rng = np.random.default_rng(config.seed)
     mean = X_csr.sum() / (n * m)
@@ -284,11 +276,9 @@ def _train_core(X, S, lam, config, on_iteration):
     converged = False
     # S U is begun right after the U-update: one worker thread sums its
     # terms below the diagonal while this thread runs the V side, which
-    # does not read S U, and then sums the terms above it.  On one CPU
-    # the worker would only take turns with this thread, so both sums are
-    # formed on this thread.  The worker lives only as long as this call.
+    # does not read S U, and then sums the terms above it.  The worker
+    # lives only as long as this call.
     with ThreadPoolExecutor(max_workers=1) as pool:
-        submit = pool.submit if _usable_cpus() > 1 else None
         for iteration in range(1, config.max_iters + 1):
             if regularize:
                 num = lam * SU
@@ -300,7 +290,7 @@ def _train_core(X, S, lam, config, on_iteration):
                 num /= XV
                 U *= num
                 del num
-                pending = graph._start_product(U, submit)
+                pending = graph._start_product(U, pool.submit)
             else:
                 U *= XV / (U @ gram_v + eps)
             XtU = X_csr.T @ U
@@ -345,7 +335,7 @@ def train_nmf(X, config, on_iteration=None):
     the same seed reproduces the model bit for bit.  `on_iteration(it, U, V,
     J)`, when given, is called after every update for diagnostics.
     """
-    return _train_core(X, None, 0.0, config, on_iteration)
+    return _train_core(X, None, config, on_iteration)
 
 
 def train_csnmf(X, S, config, on_iteration=None):
@@ -359,7 +349,7 @@ def train_csnmf(X, S, config, on_iteration=None):
     """
     if S is None:
         raise FactorizationError("train_csnmf requires a similarity matrix")
-    return _train_core(X, S, config.lam, config, on_iteration)
+    return _train_core(X, S, config, on_iteration)
 
 
 # -- model container ---------------------------------------------------------

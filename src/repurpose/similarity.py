@@ -24,8 +24,6 @@ at their final size.  Memory is the final CSR plus about one block.
 
 from __future__ import annotations
 
-from concurrent.futures import Future
-
 import numpy as np
 import scipy.sparse as sp
 
@@ -36,13 +34,6 @@ from .errors import UnknownCompoundError
 # but each block also converts every label row below it, so much smaller
 # blocks slow the build.
 _BLOCK_ENTRIES = 1_000_000
-
-
-def _done(result):
-    """A future that already holds `result`."""
-    future = Future()
-    future.set_result(result)
-    return future
 
 
 class SimilarityMatrix:
@@ -142,17 +133,13 @@ class SimilarityMatrix:
                          np.diff(by_row.indptr))
         return rows, by_row.indices.astype(order.dtype, copy=False), by_row.data
 
-    def _start_product(self, U, submit=None):
+    def _start_product(self, U, submit):
         """Begin S U: gather U's rows into stored order and have
-        `submit(fn, *args)` form the column sums of the upper triangle (each
-        stored row's terms below the diagonal).  `submit` is an executor's
-        submit method; when None, the sums are formed here and now.  The
-        returned pending product goes to `_finish_product`."""
+        `submit(fn, *args)`, an executor's submit method, form the column
+        sums of the upper triangle (each stored row's terms below the
+        diagonal).  The returned pending product goes to `_finish_product`."""
         Up = U[self._order]
-        below = self._upper.T
-        if submit is None:
-            return Up, _done(below @ Up)
-        return Up, submit(below.__matmul__, Up)
+        return Up, submit(self._upper.T.__matmul__, Up)
 
     def _finish_product(self, pending, out):
         """End S U: form the row sums of the upper triangle (each stored
@@ -166,11 +153,13 @@ class SimilarityMatrix:
         return out
 
     def _product(self, U, out):
-        """S U in compound order, written into `out` and returned.  Each row
-        of the stored order sums its terms below the diagonal (column sums
-        of the upper triangle, in stored order), then those above it, and
-        adds the two."""
-        return self._finish_product(self._start_product(U), out)
+        """S U in compound order, written into `out` and returned: as the
+        pending product sums it, terms below the diagonal, then above it."""
+        Up = U[self._order]
+        SU = self._upper.T @ Up
+        SU += self._upper @ Up
+        out[self._order] = SU
+        return out
 
     def degrees(self):
         """Row sums of the symmetric matrix (the D diagonal of L = D - S),

@@ -32,14 +32,15 @@ def _tsv_chunks(path, columns, header_required):
     end a line too.  Blank lines are skipped; lines starting with '#' are
     comments only above the header row (or the first data row when the
     header is left out), so a field may start with '#'.  A header row
-    matching `columns` (case-insensitive) is consumed when present; when
-    `header_required` it must be the first non-comment line, and a file
-    without one is reported at the line after its last.  A row with
-    the wrong number of fields raises FormatError once the rows above it
-    have been yielded, so the first bad row of the file is the one reported.
+    matching `columns` (case-insensitive, outer whitespace of each field
+    and name ignored) is consumed when present; when `header_required` it
+    must be the first non-comment line, and a file without one is reported
+    at the line after its last.  A row with the wrong number of fields
+    raises FormatError once the rows above it have been yielded, so the
+    first bad row of the file is the one reported.
     """
     n_cols = len(columns)
-    canonical = tuple(c.lower() for c in columns)
+    canonical = tuple(c.strip().lower() for c in columns)
     missing = "missing header row (expected %s)" % "<TAB>".join(columns)
     preamble, lineno, rest = True, 0, ""
     with open(path, "r", encoding="utf-8") as fh:

@@ -137,6 +137,19 @@ def data_dir(tmp_path, capsys):
     return directory
 
 
+@pytest.fixture
+def graph_builds(monkeypatch):
+    """The label source of every graph the CLI builds, in build order."""
+    sources = []
+
+    def counted(corpus, source, *args, **kwargs):
+        sources.append(source)
+        return build_similarity_matrix(corpus, source, *args, **kwargs)
+
+    monkeypatch.setattr(repurpose.cli, "build_similarity_matrix", counted)
+    return sources
+
+
 def save_hand_model(path, compounds, targets, target_factors):
     """Save a rank-1 model whose every compound factor is 1, so a compound's
     score for target j is `target_factors[j]`."""
@@ -379,21 +392,15 @@ class TestTrainEvaluateRecommend:
         assert "RMSE" in out and "Recall at 3" in out
 
     def test_duplicate_variant_skipped_before_its_graph_is_built(
-            self, data_dir, tmp_path, capsys, monkeypatch):
+            self, data_dir, tmp_path, capsys, graph_builds):
         assert self._evaluate(data_dir, tmp_path / "once",
                               "--similarity", "jaccard:CF") == 0
         capsys.readouterr()
-        sources = []
-
-        def counted(corpus, source, *args, **kwargs):
-            sources.append(source)
-            return build_similarity_matrix(corpus, source, *args, **kwargs)
-
-        monkeypatch.setattr(repurpose.cli, "build_similarity_matrix", counted)
+        graph_builds.clear()
         assert self._evaluate(data_dir, tmp_path / "twice",
                               "--similarity", "jaccard:CF",
                               "--similarity", "jaccard:CF") == 0
-        assert sources == ["CF"]
+        assert graph_builds == ["CF"]
         assert "WARNING variant CS-NMF:CF already evaluated; skipping " \
             "duplicate" in capsys.readouterr().err.splitlines()
         names = sorted(os.listdir(tmp_path / "once"))
@@ -451,7 +458,8 @@ class TestTrainEvaluateRecommend:
             assert float(value) == pytest.approx(trace[it], rel=1e-9)
             assert float(decrease) == pytest.approx(want, rel=1e-2)
         assert main(["-q"] + train + ["--out", str(tmp_path / "q.tsv")]) == 0
-        assert capsys.readouterr().err == ""
+        assert capsys.readouterr().err == ("WARNING training stopped at "
+                                           "max_iters (4) without converging\n")
         assert (tmp_path / "v.tsv").read_bytes() == (tmp_path / "q.tsv").read_bytes()
 
         variants = ("--similarity", "none", "--similarity", "jaccard:CF",
@@ -464,14 +472,43 @@ class TestTrainEvaluateRecommend:
         capsys.readouterr()
         assert read_tree(tmp_path / "a") == read_tree(tmp_path / "b")
 
+    def test_train_warns_when_it_stops_at_max_iters(self, data_dir, tmp_path,
+                                                    capsys):
+        train = ["train", "--data-dir", str(data_dir), "--rank", "3",
+                 "--out", str(tmp_path / "m.tsv")]
+        assert main(train + ["--max-iters", "2", "--tol", "1e-12"]) == 0
+        captured = capsys.readouterr()
+        assert "converged\t0" in captured.out.splitlines()
+        assert [line for line in captured.err.splitlines()
+                if line.startswith("WARNING")] == [
+            "WARNING training stopped at max_iters (2) without converging"]
+        # a tolerance every first iteration meets: the run converges
+        assert main(train + ["--tol", "10"]) == 0
+        captured = capsys.readouterr()
+        assert "converged\t1" in captured.out.splitlines()
+        assert "WARNING" not in captured.err
+
     def test_lambda_zero_equals_similarity_none(self, data_dir, tmp_path,
-                                                capsys):
+                                                capsys, graph_builds):
+        """At --lambda 0 a named graph would add no penalty: neither command
+        builds it, and each writes what --similarity none writes."""
         a_dir, b_dir = tmp_path / "a", tmp_path / "b"
         assert self._evaluate(data_dir, a_dir, "--lambda", "0",
                               "--similarity", "jaccard:CF") == 0
         assert self._evaluate(data_dir, b_dir, "--similarity", "none") == 0
+        train = ["train", "--data-dir", str(data_dir), "--rank", "3",
+                 "--max-iters", "10", "--lambda", "0"]
+        for similarity, name in (("jaccard:CF", "a.tsv"), ("none", "b.tsv")):
+            assert main(train + ["--similarity", similarity,
+                                 "--out", str(tmp_path / name)]) == 0
         capsys.readouterr()
+        assert graph_builds == []
+        assert (a_dir / "eval_report.tsv").read_text().startswith(
+            "metric\tNMF\n")
         assert read_tree(a_dir) == read_tree(b_dir)
+        assert not load_model(tmp_path / "a.tsv").regularized
+        assert (tmp_path / "a.tsv").read_bytes() == \
+            (tmp_path / "b.tsv").read_bytes()
 
     def test_evaluate_deterministic(self, data_dir, tmp_path, capsys):
         a_dir, b_dir = tmp_path / "a", tmp_path / "b"

@@ -1,4 +1,3 @@
-import os
 import threading
 import tracemalloc
 
@@ -503,22 +502,6 @@ class TestTrainCsnmf:
                       config.lam)
 
 
-@pytest.fixture(params=["two-cpus", "one-cpu", "one-cpu-no-affinity"])
-def cpus(request, monkeypatch):
-    """The CPUs the trainer sees: two by the affinity call, which overlaps
-    the halves of S U on a worker thread, or one, which forms them in
-    place, by the affinity call or, where there is none, by the CPU
-    count.  Returns that number."""
-    if request.param == "one-cpu-no-affinity":
-        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-        monkeypatch.setattr(os, "cpu_count", lambda: 1)
-        return 1
-    mask = {0, 1} if request.param == "two-cpus" else {0}
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: mask,
-                        raising=False)
-    return len(mask)
-
-
 class TestOverlappedProduct:
     """The trainer forms S U in two halves, one on a worker thread while
     the V-update runs; the iterates must equal the sequential reference
@@ -526,7 +509,7 @@ class TestOverlappedProduct:
 
     @pytest.mark.parametrize("block_entries", [1, None])
     @pytest.mark.parametrize("threshold", [0.0, 0.5])
-    def test_matches_sequential_reference(self, make_corpus, monkeypatch, cpus,
+    def test_matches_sequential_reference(self, make_corpus, monkeypatch,
                                           block_entries, threshold):
         if block_entries is not None:
             monkeypatch.setattr(similarity, "_BLOCK_ENTRIES", block_entries)
@@ -562,9 +545,9 @@ class TestOverlappedProduct:
 
     @pytest.mark.parametrize("lam, fail_at", [(0.2, None), (0.2, 3),
                                               (0.0, None)])
-    def test_worker_lives_only_inside_the_call(self, cpus, lam, fail_at):
-        """A worker runs while a regularized trainer on two CPUs does, and
-        none is left after it returns or raises."""
+    def test_worker_lives_only_inside_the_call(self, lam, fail_at):
+        """A worker runs while a regularized trainer does, and none is left
+        after it returns or raises."""
         rng = np.random.default_rng(47)
         X = matrix_of(random_sparse(rng, 40, 10))
         S = graph_of(random_symmetric(rng, 40, density=0.2))
@@ -582,10 +565,10 @@ class TestOverlappedProduct:
         else:
             with pytest.raises(KeyboardInterrupt):
                 train_csnmf(X, S, config, on_iteration=watch)
-        assert during == [before + (cpus > 1 and lam > 0)] * (fail_at or 6)
+        assert during == [before + (lam > 0)] * (fail_at or 6)
         assert threading.active_count() == before
 
-    def test_peak_memory_is_the_sequential_count(self, cpus):
+    def test_peak_memory_is_the_sequential_count(self):
         """numpy and scipy allocate through tracemalloc, from any thread.
         The trainer's peak holds six n x r arrays, as the sequential
         trainer's does: U, X V, S U, the gathered U, and the two halves of

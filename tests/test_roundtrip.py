@@ -17,7 +17,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -219,8 +219,8 @@ def test_retrieval_report_reads_back(result):
 
 @st.composite
 def eval_reports(draw):
-    names = draw(st.lists(legal_ids.map(str.strip), min_size=1, max_size=3,
-                          unique_by=str.lower))
+    names = draw(st.lists(legal_ids, min_size=1, max_size=3,
+                          unique_by=lambda name: name.strip().lower()))
     ks = st.sets(st.integers(1, 500), max_size=3)
     ratios = st.floats(0.0, 1.0)
     return [EvalReport(
@@ -231,6 +231,8 @@ def eval_reports(draw):
 
 
 @given(eval_reports())
+@example([EvalReport(label=" NMF ", fold_rmse=(1.0,), recall={},
+                     n_sampled=0)])
 def test_eval_report_reads_back(reports):
     with tempfile.TemporaryDirectory() as directory:
         path = Path(directory) / "eval_report.tsv"
