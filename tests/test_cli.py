@@ -628,6 +628,29 @@ class TestTrainEvaluateRecommend:
         assert code == 2
 
 
+class TestSimilaritySource:
+    """The one place the CLI decides whether a run builds a graph: only a
+    named source that a positive lambda will use."""
+
+    @pytest.fixture
+    def corpus(self, make_corpus):
+        return make_corpus(["c1", "c2"], [("c1", "CF", "l1"),
+                                          ("c2", "CF", "l1")])
+
+    @pytest.mark.parametrize("choice, lam, want", [
+        ("none", 0.05, None), ("none", 0.0, None),
+        ("jaccard:CF", 0.05, "CF"), ("jaccard:CF", 0.0, None)])
+    def test_source_only_when_a_positive_lambda_uses_it(self, corpus, choice,
+                                                        lam, want):
+        assert repurpose.cli._similarity_source(choice, corpus, lam) == want
+
+    def test_source_checked_before_the_lambda_rule(self, corpus):
+        for choice in ("jaccard:XX", "jaccard:", "cosine:CF"):
+            for lam in (0.0, 0.05):
+                with pytest.raises(repurpose.cli.ConfigError):
+                    repurpose.cli._similarity_source(choice, corpus, lam)
+
+
 class TestParser:
 
     def test_unknown_flag_rejected(self, capsys):

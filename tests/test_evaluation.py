@@ -375,6 +375,19 @@ class TestCrossValidate:
         assert plain.recall == reduced.recall
         assert plain.label == reduced.label == "NMF"
 
+    @pytest.mark.parametrize("with_graph, lam, want", [
+        (False, 0.1, "NMF"), (True, 0.0, "NMF"), (True, 0.1, "CS-NMF")])
+    def test_default_label_says_whether_the_trainer_regularized(
+            self, with_graph, lam, want):
+        X = planted_matrix(np.random.default_rng(38), n=20, m=8)
+        S = np.zeros((20, 20))
+        S[0, 1] = S[1, 0] = 1.0
+        report = cross_validate(
+            X, TrainConfig(rank=2, lam=lam, max_iters=5),
+            S=graph_of(S) if with_graph else None, n_folds=3, k_list=(3,),
+            sample_size=10, min_train_targets=1, min_test_targets=1)
+        assert report.label == want
+
     def test_report_shape_and_monotone_recall(self):
         rng = np.random.default_rng(31)
         X = planted_matrix(rng, n=60, m=12)

@@ -1,3 +1,4 @@
+import os
 import threading
 import tracemalloc
 
@@ -502,10 +503,24 @@ class TestTrainCsnmf:
                       config.lam)
 
 
+@pytest.fixture(params=["all-cpus", "one-cpu"])
+def cpus(request):
+    """Run the test on the CPUs this process may use, or pinned to one of
+    them, where the trainer's worker thread, started inside the call,
+    inherits the pin and takes turns with its caller."""
+    mask = os.sched_getaffinity(0)
+    if request.param == "one-cpu":
+        os.sched_setaffinity(0, {min(mask)})
+    yield
+    os.sched_setaffinity(0, mask)
+
+
+@pytest.mark.usefixtures("cpus")
 class TestOverlappedProduct:
     """The trainer forms S U in two halves, one on a worker thread while
     the V-update runs; the iterates must equal the sequential reference
-    float for float, and the worker must not outlive the call."""
+    float for float, and the worker must not outlive the call, on any
+    number of CPUs."""
 
     @pytest.mark.parametrize("block_entries", [1, None])
     @pytest.mark.parametrize("threshold", [0.0, 0.5])

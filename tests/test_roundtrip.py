@@ -82,6 +82,15 @@ def test_table_round_trip(table, chunk_bytes):
             assert _read_rows(path, columns) == rows
 
 
+@pytest.mark.parametrize("written, asked", [
+    (" NMF ", " NMF "), ("NMF", " nmf "), (" NMF ", "NMF")])
+def test_padded_column_name_matches_its_header(tmp_path, written, asked):
+    # outer whitespace and case of a name are ignored on both sides
+    path = tmp_path / "table.tsv"
+    tsv.write_tsv(path, ("metric", written), [("rmse_mean", "1.5")])
+    assert _read_rows(path, ("metric", asked)) == [("rmse_mean", "1.5")]
+
+
 @pytest.mark.parametrize("columns, rows, where", [
     (("a", "b"), [("x", "y"), ("x", "y\tz")], "row 2"),
     (("a", "b"), [("x", "y\nz")], "row 1"),
