@@ -39,7 +39,6 @@ from .errors import (
 )
 from .evaluation import (
     EvalReport,
-    FoldSplit,
     RecallResult,
     cross_validate,
     format_eval_table,

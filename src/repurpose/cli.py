@@ -21,6 +21,7 @@ from . import __version__
 from .corpus import load_corpus
 from .errors import FormatError, RepurposeError, UnknownSourceError
 from .evaluation import (
+    _recall_arguments,
     cross_validate,
     format_eval_table,
     write_eval_report_tsv,
@@ -117,12 +118,9 @@ def _train_config(args):
 
 def _parse_k_list(text):
     try:
-        ks = tuple(int(part) for part in text.split(",") if part.strip())
+        return tuple(int(part) for part in text.split(",") if part.strip())
     except ValueError:
         raise ConfigError(f"bad -k list {text!r}; expected e.g. 30,50,100") from None
-    if not ks or min(ks) < 1:
-        raise ConfigError(f"bad -k list {text!r}; every k must be >= 1")
-    return ks
 
 
 def _check_source(corpus, source):
@@ -190,7 +188,6 @@ def _edited_reference(directory, source, target):
 
 
 def cmd_noir(args):
-    corpus = _load(args.data_dir)
     sources = [s for s in args.sources.split(",") if s]
     if not sources:
         raise ConfigError("--sources is empty")
@@ -199,32 +196,36 @@ def cmd_noir(args):
     if args.top_n < 1:
         raise ConfigError(f"--top-n must be >= 1, got {args.top_n}")
     _check_output(args.out_dir, directory=True)
-    # every flag and hand-edited query file is checked before any output
-    configs, edited = {}, {}
+    # every flag and hand-edited query file is checked before the corpus is
+    # read, and the sources against the corpus before any output
+    configs = {source: _checked(
+        ReferenceSetConfig,
+        target=args.target,
+        source=source,
+        activity_type=args.activity_type,
+        activity_threshold_nm=args.threshold,
+        noise_cap=args.noise_cap,
+        min_relevant_count=args.min_count,
+        set_size=args.set_size,
+    ) for source in sources}
+    edited = {}
+    if args.edited_references:
+        edited = {source: _edited_reference(args.edited_references, source,
+                                            args.target)
+                  for source in sources}
+    corpus = _load(args.data_dir)
     for source in sources:
         _check_source(corpus, source)
-        configs[source] = _checked(
-            ReferenceSetConfig,
-            target=args.target,
-            source=source,
-            activity_type=args.activity_type,
-            activity_threshold_nm=args.threshold,
-            noise_cap=args.noise_cap,
-            min_relevant_count=args.min_count,
-            set_size=args.set_size,
-        )
-        if args.edited_references:
-            edited[source] = _edited_reference(args.edited_references, source,
-                                               args.target)
     os.makedirs(args.out_dir, exist_ok=True)
 
+    if edited:
+        # exclusion still uses the relevant set the corpus gives
+        relevant = frozenset(corpus.compounds_for_target(
+            args.target, args.activity_type, args.threshold))
     results = {}
     for source in sources:
         if edited:
-            # exclusion still uses the relevant set the corpus gives
-            reference = edited[source]
-            exclude = frozenset(corpus.compounds_for_target(
-                args.target, args.activity_type, args.threshold))
+            reference, exclude = edited[source], relevant
         else:
             reference = build_reference_set(corpus, configs[source])
             exclude = reference.relevant
@@ -282,9 +283,9 @@ def _log_iteration():
 
 
 def cmd_train(args):
+    config = _train_config(args)
     _check_output(args.out)
     corpus = _load(args.data_dir)
-    config = _train_config(args)
     source = _similarity_source(args.similarity, corpus, config.lam)
     interactions = build_interaction_matrix(corpus, args.activity_type)
     if source is None:
@@ -308,14 +309,12 @@ def cmd_train(args):
 
 def cmd_evaluate(args):
     config = _train_config(args)
-    k_list = _parse_k_list(args.k)
+    k_list = _checked(_recall_arguments, k_list=_parse_k_list(args.k),
+                      sample_size=args.sample_size,
+                      min_train_targets=args.min_train_targets,
+                      min_test_targets=args.min_test_targets)
     if args.folds < 2:
         raise ConfigError(f"--folds must be at least 2, got {args.folds}")
-    if min(args.min_train_targets, args.min_test_targets) < 1:
-        raise ConfigError(
-            "--min-train-targets and --min-test-targets must be >= 1")
-    if args.sample_size < 1:
-        raise ConfigError(f"--sample-size must be >= 1, got {args.sample_size}")
     _check_output(args.out_dir, directory=True)
     corpus = _load(args.data_dir)
     sources = [_similarity_source(choice, corpus, config.lam)
@@ -365,12 +364,12 @@ def cmd_recommend(args):
         raise ConfigError(f"-k must be >= 1, got {args.k}")
     if not os.path.isfile(args.model):
         raise ConfigError(f"model file not found: {args.model}")
-    if args.out:
-        _check_output(args.out)
-    model = load_model(args.model)
     compounds = [c for c in args.compounds.split(",") if c]
     if not compounds:
         raise ConfigError("--compounds is empty")
+    if args.out:
+        _check_output(args.out)
+    model = load_model(args.model)
 
     known = {}
     if not args.include_known:

@@ -37,21 +37,13 @@ def _masked_entries(X, mask):
         shape=csr.shape))
 
 
-@dataclass(frozen=True, eq=False)
-class FoldSplit:
-    """Disjoint random partition of a matrix's stored entries.
-
-    `fold[t]` is the fold id, in [0, n_folds), of the t-th stored entry of
-    the matrix's canonical CSR; fold f's held-out set is `fold == f`.
-    """
-
-    n_folds: int
-    seed: int
-    fold: np.ndarray
-
-
 def split_folds(X, n_folds=5, seed=0):
-    """Randomly partition the stored entries of X into `n_folds` folds."""
+    """Randomly partition the stored entries of X into `n_folds` folds.
+
+    Returns the fold ids: entry t, in [0, n_folds), is the fold of the t-th
+    stored entry of X's canonical CSR, and fold f's held-out set is
+    `fold == f`.
+    """
     if n_folds < 2:
         raise ValueError("n_folds must be at least 2")
     nnz = _csr_of(X).nnz
@@ -61,12 +53,13 @@ def split_folds(X, n_folds=5, seed=0):
     fold = np.empty(nnz, dtype=np.int64)
     for f, chunk in enumerate(np.array_split(rng.permutation(nnz), n_folds)):
         fold[chunk] = f
-    return FoldSplit(n_folds=n_folds, seed=seed, fold=fold)
+    return fold
 
 
 def training_matrix(X, held_out_mask):
     """Copy of X, ids kept, without the stored entries that the boolean array
-    `held_out_mask` marks, over X's canonical CSR as `FoldSplit.fold` is."""
+    `held_out_mask` marks, over X's canonical CSR as `split_folds`'s fold
+    ids are."""
     return _masked_entries(X, ~held_out_mask)
 
 
@@ -97,7 +90,6 @@ def rmse(model, held_out):
 class RecallResult:
     """Per-compound recall arrays for each k over one sampled cohort."""
 
-    k_list: tuple[int, ...]
     recalls: dict  # k -> np.ndarray of per-compound recall
     sampled_rows: tuple[int, ...]
 
@@ -164,9 +156,8 @@ def recall_at_k(model, train_X, test_X, k_list=(30, 50, 100),
         for k in k_list:
             recalls[k][at] = np.count_nonzero(test_ranks < k) / len(test_ranks)
 
-    return RecallResult(
-        k_list=k_list, recalls=recalls,
-        sampled_rows=tuple(int(r) for r in sampled))
+    return RecallResult(recalls=recalls,
+                        sampled_rows=tuple(int(r) for r in sampled))
 
 
 @dataclass(frozen=True, eq=False)
@@ -199,14 +190,14 @@ def cross_validate(X, config, S=None, n_folds=5, k_list=(30, 50, 100),
     """
     k_list = _recall_arguments(k_list, sample_size, min_train_targets,
                                min_test_targets)
-    split = split_folds(X, n_folds=n_folds, seed=seed)
+    fold = split_folds(X, n_folds=n_folds, seed=seed)
     _similarity_graph(S, X)  # checked before the first fold trains
 
     fold_rmse, fold_converged = [], []
     pooled = {k: [] for k in k_list}
     n_sampled = 0
-    for fold_index in range(split.n_folds):
-        held_out_mask = split.fold == fold_index
+    for fold_index in range(n_folds):
+        held_out_mask = fold == fold_index
         train_X = training_matrix(X, held_out_mask)
         held_out = _masked_entries(X, held_out_mask)
         if S is None:

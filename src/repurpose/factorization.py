@@ -270,15 +270,19 @@ def _train_core(X, S, config, on_iteration):
     # two terms, and S U is written back into its buffer.
     XV, gram_v = X_csr @ V, V.T @ V
     degrees = graph.degrees() if regularize else None
-    SU = graph._product(U, np.empty_like(U)) if regularize else None
-    trace = [_objective_from_products(
-        x_sq, U, XV, U.T @ U, gram_v, lam, degrees, SU)]
     converged = False
     # S U is begun right after the U-update: one worker thread sums its
     # terms below the diagonal while this thread runs the V side, which
-    # does not read S U, and then sums the terms above it.  The worker
-    # lives only as long as this call.
+    # does not read S U, and then sums the terms above it.  The initial
+    # S U takes the same two halves.  The worker lives only as long as
+    # this call.
     with ThreadPoolExecutor(max_workers=1) as pool:
+        SU = None
+        if regularize:
+            SU = graph._finish_product(graph._start_product(U, pool.submit),
+                                       np.empty_like(U))
+        trace = [_objective_from_products(
+            x_sq, U, XV, U.T @ U, gram_v, lam, degrees, SU)]
         for iteration in range(1, config.max_iters + 1):
             if regularize:
                 num = lam * SU

@@ -8,6 +8,8 @@ matrix S, with the diagonal left out, is the regularization graph of the
 factorization trainer, which takes a graph in this form only.  The trainer
 reads S only through S U and the degrees, and both come from one
 triangle, so only the strict upper triangle is stored: each pair once.
+The degrees are summed once, when the graph is made; S U is formed only
+in two halves, one of which an executor's worker can run.
 
 Rows and columns are stored in label-locality order: compounds that share
 their rarest label sit on adjacent rows, so the trainer's product of the
@@ -80,6 +82,14 @@ class SimilarityMatrix:
         self._row = np.empty_like(order)
         self._row[order] = np.arange(len(order), dtype=order.dtype)
         self._pos = {c: i for i, c in enumerate(compounds)}
+        # the row sums of S, summed as S U sums a column of ones: the
+        # terms below the diagonal, then those above it
+        ones = np.ones((len(order), 1))
+        sums = upper.T @ ones
+        sums += upper @ ones
+        self._degrees = np.empty(len(order))
+        self._degrees[order] = sums.ravel()
+        self._degrees.flags.writeable = False
 
     @property
     def n_compounds(self):
@@ -134,10 +144,11 @@ class SimilarityMatrix:
         return rows, by_row.indices.astype(order.dtype, copy=False), by_row.data
 
     def _start_product(self, U, submit):
-        """Begin S U: gather U's rows into stored order and have
-        `submit(fn, *args)`, an executor's submit method, form the column
-        sums of the upper triangle (each stored row's terms below the
-        diagonal).  The returned pending product goes to `_finish_product`."""
+        """Begin S U, the one way it is formed: gather U's rows into stored
+        order and have `submit(fn, *args)`, an executor's submit method,
+        form the column sums of the upper triangle (each stored row's terms
+        below the diagonal).  The returned pending product goes to
+        `_finish_product`."""
         Up = U[self._order]
         return Up, submit(self._upper.T.__matmul__, Up)
 
@@ -152,20 +163,11 @@ class SimilarityMatrix:
         out[self._order] = SU
         return out
 
-    def _product(self, U, out):
-        """S U in compound order, written into `out` and returned: as the
-        pending product sums it, terms below the diagonal, then above it."""
-        Up = U[self._order]
-        SU = self._upper.T @ Up
-        SU += self._upper @ Up
-        out[self._order] = SU
-        return out
-
     def degrees(self):
         """Row sums of the symmetric matrix (the D diagonal of L = D - S),
-        summed as `_product` sums."""
-        ones = np.ones((self.n_compounds, 1))
-        return self._product(ones, np.empty_like(ones)).ravel()
+        formed once when the graph was made and summed as S U sums: the
+        same read-only array on every call."""
+        return self._degrees
 
     def __repr__(self):
         return (f"SimilarityMatrix({self.n_compounds} compounds, "

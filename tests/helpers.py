@@ -335,7 +335,7 @@ def stored_order_product(graph, U):
     Stored row k's value is the sum below the diagonal (T[j, k] over j in
     ascending order) plus the sum above it (T[k, l] over l in ascending
     order), each started from 0.0; row k is compound order[k]'s.  It is the
-    reference `_product` and `degrees()` must equal float for float.
+    reference S U's two halves and `degrees()` must equal float for float.
     """
     upper, order = graph._upper, graph._order.tolist()
     indptr = upper.indptr.tolist()

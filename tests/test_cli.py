@@ -32,9 +32,10 @@ def _case(case_id, *argv):
 
 # One bad invocation per numeric flag of each subcommand, plus other bad
 # values that are checked: each must exit 2 with a single ERROR line and
-# write nothing.  `a-dir` (an empty directory) and `a-file` (an empty file)
-# exist in the working directory, for the output paths that cannot be
-# written.
+# write nothing, and read no input unless it names a label source, which
+# only the corpus can tell apart (`XX` is none).  `a-dir` (an empty
+# directory) and `a-file` (an empty file) exist in the working directory,
+# for the output paths that cannot be written.
 # `--data-dir` is appended for every subcommand but generate-synthetic,
 # which reads no corpus.
 INVALID_FLAG_CASES = [
@@ -114,6 +115,8 @@ INVALID_FLAG_CASES = [
           "5", "--out", "no-dir/m.tsv"),
     _case("recommend-out-is-dir", "recommend", "--model", "model.tsv",
           "--compounds", "C00000", "--out", "a-dir"),
+    _case("recommend-compounds-empty", "recommend", "--model", "model.tsv",
+          "--compounds", ","),
     _case("noir-out-dir-under-file", "noir", "--target", "T0000",
           "--activity-type", "IC50", "--out-dir", "a-file/sub"),
     _case("evaluate-out-dir-under-file", "evaluate", "--out-dir", "a-file/sub"),
@@ -148,6 +151,20 @@ def graph_builds(monkeypatch):
 
     monkeypatch.setattr(repurpose.cli, "build_similarity_matrix", counted)
     return sources
+
+
+@pytest.fixture
+def input_reads(monkeypatch):
+    """The name of every input reader the CLI calls (`load_corpus`,
+    `load_model`), in call order."""
+    reads = []
+    for name in ("load_corpus", "load_model"):
+        def counted(*args, _name=name, _read=getattr(repurpose.cli, name),
+                    **kwargs):
+            reads.append(_name)
+            return _read(*args, **kwargs)
+        monkeypatch.setattr(repurpose.cli, name, counted)
+    return reads
 
 
 def save_hand_model(path, compounds, targets, target_factors):
@@ -686,7 +703,7 @@ class TestParser:
     @pytest.mark.parametrize("argv", INVALID_FLAG_CASES)
     def test_invalid_numeric_flag_is_config_error(self, argv, data_dir,
                                                   tmp_path, capsys,
-                                                  monkeypatch):
+                                                  monkeypatch, input_reads):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "a-dir").mkdir()
         (tmp_path / "a-file").write_text("")
@@ -695,11 +712,14 @@ class TestParser:
             assert main(["train", "--data-dir", str(data_dir), "--rank", "2",
                          "--max-iters", "5", "--out", "model.tsv"]) == 0
             capsys.readouterr()
+        reads_input = any(token.endswith("XX") for token in argv)
         if argv[0] != "generate-synthetic":
             argv = [*argv, "--data-dir", str(data_dir)]
+        input_reads.clear()
         code = main(list(argv))
         err = capsys.readouterr().err
         assert code == 2
+        assert bool(input_reads) == reads_input, input_reads
         assert "Traceback" not in err
         assert len([line for line in err.splitlines()
                     if line.startswith("ERROR")]) == 1

@@ -71,9 +71,9 @@ def from_triples(triples, shape):
                                    shape=shape))
 
 
-def fold_matrix(X, split, f):
+def fold_matrix(X, fold, f):
     """Fold f's held-out entries of X, cut as cross_validate cuts them."""
-    return _masked_entries(X, split.fold == f)
+    return _masked_entries(X, fold == f)
 
 
 def assert_same_matrix(actual, expected):
@@ -92,29 +92,29 @@ class TestSplitFolds:
 
     def test_even_split(self):
         X = matrix_of(np.diag(np.arange(1.0, 11.0)))
-        split = split_folds(X, n_folds=5, seed=0)
-        assert np.bincount(split.fold).tolist() == [2, 2, 2, 2, 2]
+        fold = split_folds(X, n_folds=5, seed=0)
+        assert np.bincount(fold).tolist() == [2, 2, 2, 2, 2]
 
     def test_deterministic_under_seed(self):
         rng = np.random.default_rng(1)
         X = matrix_of(rng.random((10, 10)) * (rng.random((10, 10)) < 0.4))
         first = split_folds(X, n_folds=4, seed=9)
         second = split_folds(X, n_folds=4, seed=9)
-        assert np.array_equal(first.fold, second.fold)
+        assert np.array_equal(first, second)
         other = split_folds(X, n_folds=4, seed=10)
-        assert not np.array_equal(first.fold, other.fold)
+        assert not np.array_equal(first, other)
 
     def test_partition_property(self):
         rng = np.random.default_rng(2)
         dense = rng.random((15, 8)) * (rng.random((15, 8)) < 0.5)
         X = matrix_of(dense)
         for seed in range(4):
-            split = split_folds(X, n_folds=5, seed=seed)
-            assert split.fold.shape == (X.n_entries,)
-            assert set(split.fold.tolist()) == set(range(5))
+            fold = split_folds(X, n_folds=5, seed=seed)
+            assert fold.shape == (X.n_entries,)
+            assert set(fold.tolist()) == set(range(5))
             seen = []
             for f in range(5):
-                seen.extend(entries(fold_matrix(X, split, f)))
+                seen.extend(entries(fold_matrix(X, fold, f)))
             assert len(seen) == len({(i, j) for i, j, _ in seen}) == X.n_entries
             coo = X.matrix.tocoo()
             assert {(i, j) for i, j, _ in seen} == \
@@ -134,8 +134,8 @@ class TestSplitFolds:
                           [3.0, 0.0, 4.5, 0.0, 5.0],
                           [0.0, 6.0, 0.0, 0.0, 0.0],
                           [7.5, 8.0, 0.0, 9.0, 9.5]])
-        split = split_folds(matrix_of(dense), n_folds=3, seed=11)
-        assert split.fold.tolist() == [2, 0, 2, 1, 1, 0, 0, 2, 0, 1]
+        fold = split_folds(matrix_of(dense), n_folds=3, seed=11)
+        assert fold.tolist() == [2, 0, 2, 1, 1, 0, 0, 2, 0, 1]
 
 
 def random_matrix(rng):
@@ -155,11 +155,10 @@ class TestFoldsMatchTriples:
 
     def check(self, X, n_folds, seed):
         reference = triple_folds(X, n_folds, seed)
-        split = split_folds(X, n_folds=n_folds, seed=seed)
-        assert split.n_folds == n_folds and split.seed == seed
+        fold = split_folds(X, n_folds=n_folds, seed=seed)
         for f, triples in enumerate(reference):
-            assert entries(fold_matrix(X, split, f)) == list(triples)
-            assert_same_matrix(training_matrix(X, split.fold == f),
+            assert entries(fold_matrix(X, fold, f)) == list(triples)
+            assert_same_matrix(training_matrix(X, fold == f),
                             triple_training_matrix(X, triples))
 
     def test_random_matrices(self):
@@ -299,9 +298,9 @@ class TestRecallAtK:
     def test_deterministic_under_seed(self):
         rng = np.random.default_rng(8)
         X = planted_matrix(rng)
-        split = split_folds(X, n_folds=4, seed=1)
-        test = fold_matrix(X, split, 0)
-        train_fold = training_matrix(X, split.fold == 0)
+        fold = split_folds(X, n_folds=4, seed=1)
+        test = fold_matrix(X, fold, 0)
+        train_fold = training_matrix(X, fold == 0)
         model = make_model(rng.random((X.shape[0], 4)),
                            rng.random((X.shape[1], 4)))
         a = recall_at_k(model, train_fold, test, k_list=(3,), sample_size=10,

@@ -583,6 +583,28 @@ class TestOverlappedProduct:
         assert during == [before + (lam > 0)] * (fail_at or 6)
         assert threading.active_count() == before
 
+    @pytest.mark.parametrize("iterations", [1, 5])
+    def test_every_product_starts_on_the_worker(self, monkeypatch,
+                                                iterations):
+        """The initial S U and one per iteration are each begun by
+        `_start_product`, the only way S U is formed."""
+        rng = np.random.default_rng(48)
+        X = matrix_of(random_sparse(rng, 30, 8))
+        S = graph_of(random_symmetric(rng, 30, density=0.2))
+        starts = []
+        start = SimilarityMatrix._start_product
+
+        def counted(graph, U, submit):
+            starts.append(U.shape)
+            return start(graph, U, submit)
+
+        monkeypatch.setattr(SimilarityMatrix, "_start_product", counted)
+        config = TrainConfig(rank=3, lam=0.2, max_iters=iterations,
+                             rel_tol=1e-300)
+        model = train_csnmf(X, S, config)
+        assert len(model.objective_trace) == iterations + 1
+        assert starts == [(30, 3)] * (iterations + 1)
+
     def test_peak_memory_is_the_sequential_count(self):
         """numpy and scipy allocate through tracemalloc, from any thread.
         The trainer's peak holds six n x r arrays, as the sequential

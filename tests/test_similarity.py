@@ -1,4 +1,5 @@
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -245,7 +246,8 @@ def assert_same_arrays(got, want):
 
 class TestStoredOrderProduct:
     """S U and the degrees are summed in the graph's stored order: each
-    stored row's terms below the diagonal, then those above it.  They must
+    stored row's terms below the diagonal, then those above it.  S U is
+    formed as the trainer forms it, its first half on a worker.  Both must
     equal the plain-loop reference float for float, on built graphs and on
     raw matrices built into graphs by the constructor."""
 
@@ -254,7 +256,9 @@ class TestStoredOrderProduct:
         """S, when given, is the symmetric matrix the graph must hold."""
         n = graph.n_compounds
         U = rng.random((n, 3))
-        got = graph._product(U, np.empty_like(U))
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            got = graph._finish_product(graph._start_product(U, pool.submit),
+                                        np.empty_like(U))
         assert got.tobytes() == stored_order_product(graph, U).tobytes()
         degrees = graph.degrees()
         assert degrees.tobytes() == \
@@ -296,6 +300,21 @@ class TestStoredOrderProduct:
             assert graph.n_pairs == 0
             self.assert_matches_reference(graph, rng)
             assert not graph.degrees().any()
+
+    def test_degrees_formed_once(self, make_corpus):
+        rng = np.random.default_rng(64)
+        ids = [f"c{i:02d}" for i in range(30)]
+        corpus = make_corpus(ids, [(cid, "CF", f"l{v}") for cid in ids
+                                   for v in rng.choice(8, size=3,
+                                                       replace=False)])
+        graph = build_similarity_matrix(corpus, "CF")
+        degrees = graph.degrees()
+        assert graph.degrees() is degrees
+        assert not degrees.flags.writeable
+        with pytest.raises(ValueError):
+            degrees[0] = 1.0
+        assert degrees.tobytes() == stored_order_product(
+            graph, np.ones((graph.n_compounds, 1))).ravel().tobytes()
 
     @pytest.mark.parametrize("kind", ["dense", "scipy"])
     def test_raw_matrices(self, kind):
