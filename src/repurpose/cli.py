@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import logging
 import os
+import re
 import sys
 
 import numpy as np
@@ -64,18 +65,13 @@ class ConfigError(Exception):
     """Bad invocation: missing files, inconsistent flags."""
 
 
-def _data_paths(data_dir):
-    paths = {name: os.path.join(data_dir, f"{name}.tsv")
-             for name in ("compounds", "labels", "activities")}
-    for path in paths.values():
+def _load(data_dir):
+    paths = [os.path.join(data_dir, f"{name}.tsv")
+             for name in ("compounds", "labels", "activities")]
+    for path in paths:
         if not os.path.isfile(path):
             raise ConfigError(f"input file not found: {path}")
-    return paths
-
-
-def _load(data_dir):
-    paths = _data_paths(data_dir)
-    return load_corpus(paths["compounds"], paths["labels"], paths["activities"])
+    return load_corpus(*paths)
 
 
 def _check_output(path, directory=False):
@@ -100,20 +96,25 @@ def _log_config(args):
     log.info("resolved config: %s", resolved)
 
 
-def _checked(build, **kwargs):
-    """Build a config object, reporting its ValueError as a usage error."""
+def _checked(build, **flagged):
+    """Build a config object from `argument=(flag, value)` pairs; its
+    ValueError becomes a usage error that names the flags, not arguments."""
     try:
-        return build(**kwargs)
+        return build(**{name: value for name, (_, value) in flagged.items()})
     except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+        flags = {name: flag for name, (flag, _) in flagged.items()}
+        raise ConfigError(re.sub(r"\w+", lambda m: flags.get(m[0], m[0]),
+                                 str(exc))) from None
 
 
 def _train_config(args):
     if not 0.0 <= args.sim_threshold <= 1.0:
         raise ConfigError(
             f"--sim-threshold must be in [0, 1], got {args.sim_threshold}")
-    return _checked(TrainConfig, rank=args.rank, lam=args.lam,
-                    max_iters=args.max_iters, rel_tol=args.tol, seed=args.seed)
+    return _checked(
+        TrainConfig, rank=("--rank", args.rank), lam=("--lambda", args.lam),
+        max_iters=("--max-iters", args.max_iters), rel_tol=("--tol", args.tol),
+        seed=("--seed", args.seed))
 
 
 def _parse_k_list(text):
@@ -160,11 +161,15 @@ def cmd_generate_synthetic(args):
     if args.seed < 0:
         raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     spec = _checked(
-        SyntheticSpec, n_compounds=args.compounds, n_targets=args.targets,
-        n_clusters=args.clusters, labels_per_compound=args.labels_per_compound,
-        sources=tuple(args.sources.split(",")),
-        activity_type=args.activity_type, label_noise=args.label_noise,
-        activity_noise=args.activity_noise)
+        SyntheticSpec, n_compounds=("--compounds", args.compounds),
+        n_targets=("--targets", args.targets),
+        n_clusters=("--clusters", args.clusters),
+        labels_per_compound=("--labels-per-compound",
+                             args.labels_per_compound),
+        sources=("--sources", tuple(args.sources.split(","))),
+        activity_type=("--activity-type", args.activity_type),
+        label_noise=("--label-noise", args.label_noise),
+        activity_noise=("--activity-noise", args.activity_noise))
     _check_output(args.out_dir, directory=True)
     paths, _ = generate_synthetic(spec, args.out_dir, seed=args.seed)
     for path in paths:
@@ -199,20 +204,16 @@ def cmd_noir(args):
     # every flag and hand-edited query file is checked before the corpus is
     # read, and the sources against the corpus before any output
     configs = {source: _checked(
-        ReferenceSetConfig,
-        target=args.target,
-        source=source,
-        activity_type=args.activity_type,
-        activity_threshold_nm=args.threshold,
-        noise_cap=args.noise_cap,
-        min_relevant_count=args.min_count,
-        set_size=args.set_size,
-    ) for source in sources}
-    edited = {}
-    if args.edited_references:
-        edited = {source: _edited_reference(args.edited_references, source,
-                                            args.target)
-                  for source in sources}
+        ReferenceSetConfig, target=("--target", args.target),
+        source=("--sources", source),
+        activity_type=("--activity-type", args.activity_type),
+        activity_threshold_nm=("--threshold", args.threshold),
+        noise_cap=("--noise-cap", args.noise_cap),
+        min_relevant_count=("--min-count", args.min_count),
+        set_size=("--set-size", args.set_size)) for source in sources}
+    edited = {source: _edited_reference(args.edited_references, source,
+                                        args.target)
+              for source in sources if args.edited_references}
     corpus = _load(args.data_dir)
     for source in sources:
         _check_source(corpus, source)
@@ -220,17 +221,14 @@ def cmd_noir(args):
 
     if edited:
         # exclusion still uses the relevant set the corpus gives
-        relevant = frozenset(corpus.compounds_for_target(
-            args.target, args.activity_type, args.threshold))
+        relevant = corpus.compounds_for_target(
+            args.target, args.activity_type, args.threshold)
     results = {}
     for source in sources:
-        if edited:
-            reference, exclude = edited[source], relevant
-        else:
-            reference = build_reference_set(corpus, configs[source])
-            exclude = reference.relevant
-        if args.keep_relevant:
-            exclude = frozenset()
+        reference = (edited[source] if edited
+                     else build_reference_set(corpus, configs[source]))
+        exclude = () if args.keep_relevant else (
+            relevant if edited else reference.relevant)
         result = retrieve(corpus, reference, exclude=exclude, top_n=args.top_n)
         ref_path = os.path.join(args.out_dir, f"reference_{source}.tsv")
         hits_path = os.path.join(args.out_dir, f"retrieval_{source}.tsv")
@@ -309,10 +307,11 @@ def cmd_train(args):
 
 def cmd_evaluate(args):
     config = _train_config(args)
-    k_list = _checked(_recall_arguments, k_list=_parse_k_list(args.k),
-                      sample_size=args.sample_size,
-                      min_train_targets=args.min_train_targets,
-                      min_test_targets=args.min_test_targets)
+    k_list = _checked(
+        _recall_arguments, k_list=("-k", _parse_k_list(args.k)),
+        sample_size=("--sample-size", args.sample_size),
+        min_train_targets=("--min-train-targets", args.min_train_targets),
+        min_test_targets=("--min-test-targets", args.min_test_targets))
     if args.folds < 2:
         raise ConfigError(f"--folds must be at least 2, got {args.folds}")
     _check_output(args.out_dir, directory=True)
@@ -374,8 +373,7 @@ def cmd_recommend(args):
     known = {}
     if not args.include_known:
         corpus = _load(args.data_dir)
-        for compound in compounds:
-            known[compound] = corpus.targets_of(compound, args.activity_type)
+        known = {c: corpus.targets_of(c, args.activity_type) for c in compounds}
 
     rows = []
     for compound in compounds:

@@ -9,8 +9,10 @@ its column counts.  NOIR counts, document scores and the Jaccard
 similarity graph all read that matrix; `labels_of` and the label counts are
 views over it.  Activity values are aggregated to the most potent (minimum)
 measurement per (compound, target, activity type) and held as one compound
-x target CSR per type, plus its transpose; relevant sets, known targets
-and the interaction matrix all read it.
+x target CSR per type; known targets and the interaction matrix read it.
+Its transpose serves the relevant-set query, which returns corpus rows
+(`compounds_for_target` gives their ids).  One map takes an id to its row
+and reports an id the corpus lacks.
 
 Files are read by `repurpose.tsv` in chunks of text, each split into
 columns.  A column becomes int32 codes in one C-level pass of lookups in a
@@ -87,6 +89,14 @@ class LabelIndex:
         return [self.labels[j] for j in self.matrix.indices[lo:hi]]
 
 
+class _Rows(dict):
+    """{compound id: row}: looking up an id the corpus lacks raises
+    `UnknownCompoundError` (a C-level map of lookups too); `get` gives None."""
+
+    def __missing__(self, compound):
+        raise UnknownCompoundError(f"unknown compound {compound!r}")
+
+
 class Corpus:
     """Immutable indexed view of compounds, labels, and activity records.
 
@@ -99,9 +109,9 @@ class Corpus:
         # label_index: {source: LabelIndex}, rows in that order
         # target_ids: sorted tuple; activity_index: {type: compound x target
         # CSR of nM values} in sorted type order, columns shared by all types
-        self._smiles = smiles
+        self._smiles = tuple(smiles.values())
         self._compound_ids = tuple(smiles)
-        self._position = {c: i for i, c in enumerate(self._compound_ids)}
+        self._position = _Rows(zip(self._compound_ids, range(len(smiles))))
 
         self._label_index = label_index
         self._sources = tuple(sorted(label_index))
@@ -112,7 +122,7 @@ class Corpus:
         self._target_ids = target_ids
         self._column = {t: j for j, t in enumerate(target_ids)}
         self._activity_index = activity_index
-        # the transpose gives per-target access
+        # each target's records in one slice, for `_relevant_rows`
         self._activity_by_target = {atype: matrix.T.tocsr()
                                     for atype, matrix in activity_index.items()}
         self._no_activity = sp.csr_matrix(
@@ -141,29 +151,19 @@ class Corpus:
 
     @property
     def n_compounds(self):
-        return len(self._smiles)
+        return len(self._compound_ids)
 
     def compound_ids(self):
         """All compound ids, sorted."""
         return self._compound_ids
 
-    def has_compound(self, compound):
-        return compound in self._position
-
     def positions(self, compounds):
         """Row of each compound in `compound_ids()` order, as an int array."""
-        try:
-            return np.fromiter((self._position[c] for c in compounds),
-                               dtype=np.intp)
-        except KeyError as exc:
-            raise UnknownCompoundError(
-                f"unknown compound {exc.args[0]!r}") from None
+        return np.fromiter(map(self._position.__getitem__, compounds),
+                           dtype=np.intp)
 
     def smiles_of(self, compound):
-        try:
-            return self._smiles[compound]
-        except KeyError:
-            raise UnknownCompoundError(f"unknown compound {compound!r}") from None
+        return self._smiles[self._position[compound]]
 
     def target_ids(self):
         """All target ids (a target exists iff it has an activity record)."""
@@ -192,8 +192,6 @@ class Corpus:
     def labels_of(self, compound, source):
         """Labels carried by `compound` under `source` (may be empty)."""
         index = self.label_index(source)
-        if compound not in self._position:
-            raise UnknownCompoundError(f"unknown compound {compound!r}")
         return frozenset(index.row_labels(self._position[compound]))
 
     def source_labels(self, source):
@@ -222,25 +220,28 @@ class Corpus:
         corpus lacks has no entries."""
         return self._activity_index.get(activity_type, self._no_activity)
 
-    def compounds_for_target(self, target, activity_type, max_value_nm=math.inf):
-        """Compounds with a record for (target, activity_type) strictly below
-        `max_value_nm`.  Passing +inf keeps every compound with any record of
-        that type for the target."""
+    def _relevant_rows(self, target, activity_type, max_value_nm):
+        """Rows of the compounds with a record for (target, activity_type)
+        strictly below `max_value_nm`, in row order, as an int array."""
         j = self._column.get(target)
         if j is None:
             raise UnknownTargetError(f"unknown target {target!r}")
         by_target = self._activity_by_target.get(activity_type)
         if by_target is None:
-            return set()
+            return np.zeros(0, dtype=np.intp)
         lo, hi = by_target.indptr[j], by_target.indptr[j + 1]
-        rows = by_target.indices[lo:hi][by_target.data[lo:hi] < max_value_nm]
+        return by_target.indices[lo:hi][by_target.data[lo:hi] < max_value_nm]
+
+    def compounds_for_target(self, target, activity_type, max_value_nm=math.inf):
+        """Compounds with a record for (target, activity_type) strictly below
+        `max_value_nm`.  Passing +inf keeps every compound with any record of
+        that type for the target."""
+        rows = self._relevant_rows(target, activity_type, max_value_nm)
         return {self._compound_ids[i] for i in rows.tolist()}
 
     def targets_of(self, compound, activity_type=None):
         """Targets with at least one record for `compound` (optionally of one type)."""
-        i = self._position.get(compound)
-        if i is None:
-            raise UnknownCompoundError(f"unknown compound {compound!r}")
+        i = self._position[compound]
         if activity_type is None:
             return set().union(*(self.targets_of(compound, atype)
                                  for atype in self.activity_types()))

@@ -103,9 +103,11 @@ def _recall_arguments(k_list, sample_size, min_train_targets,
     """Validate recall-at-k's arguments; returns k_list as a tuple of ints."""
     k_list = tuple(int(k) for k in k_list)
     if not k_list or min(k_list) < 1:
-        raise ValueError("every k must be >= 1")
-    if min_train_targets < 1 or min_test_targets < 1:
-        raise ValueError("target minimums must be >= 1")
+        raise ValueError("k_list must be non-empty, with every k >= 1")
+    if min_train_targets < 1:
+        raise ValueError("min_train_targets must be >= 1")
+    if min_test_targets < 1:
+        raise ValueError("min_test_targets must be >= 1")
     if sample_size < 1:
         raise ValueError(f"sample_size must be >= 1, got {sample_size}")
     return k_list

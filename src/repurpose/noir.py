@@ -96,10 +96,6 @@ class ReferenceLabelSet:
     def n_relevant(self):
         return len(self.relevant)
 
-    def score_map(self):
-        """{label: score} for document scoring."""
-        return {sl.label: sl.score for sl in self.labels}
-
     def __len__(self):
         return len(self.labels)
 
@@ -164,17 +160,18 @@ def build_reference_set(corpus, config):
     candidates are scored at once; the integer product C * N_relevant is
     exact, so each float is the one the scalar formula gives.
     """
-    relevant = corpus.compounds_for_target(
+    rows = corpus._relevant_rows(
         config.target, config.activity_type, config.activity_threshold_nm)
-    if not relevant:
+    if not rows.size:
         raise NoRelevantCompoundsError(
             f"no compound has {config.activity_type} < "
             f"{config.activity_threshold_nm} nM for target {config.target!r}")
 
-    n_relevant = len(relevant)
+    ids = corpus.compound_ids()
+    relevant = frozenset([ids[i] for i in rows.tolist()])
     n_corpus = corpus.n_compounds
     index = corpus.label_index(config.source)
-    columns, _ = _row_columns(index.matrix, corpus.positions(relevant))
+    columns, _ = _row_columns(index.matrix, rows)
     observed = np.bincount(columns, minlength=len(index.labels))
     candidates = np.flatnonzero((observed >= config.min_relevant_count)
                                 & (index.counts <= config.noise_cap))
@@ -183,11 +180,11 @@ def build_reference_set(corpus, config):
             "no label passed the min-count/noise-cap filters for target %s "
             "under source %s", config.target, config.source)
         return ReferenceLabelSet(
-            config, frozenset(relevant), n_corpus, (), no_candidates=True)
+            config, relevant, n_corpus, (), no_candidates=True)
 
     observed = observed[candidates]
     counts = index.counts[candidates]
-    expected = counts * n_relevant / n_corpus
+    expected = counts * len(rows) / n_corpus
     diff = observed - expected
     scores = diff * diff / expected
     # a rule of its own, not `top_columns`: equal scores rank by higher O
@@ -198,11 +195,14 @@ def build_reference_set(corpus, config):
         ScoredLabel, map(index.labels.__getitem__, candidates[kept].tolist()),
         observed[kept].tolist(), expected[kept].tolist(),
         counts[kept].tolist(), scores[kept].tolist()))
-    return ReferenceLabelSet(config, frozenset(relevant), n_corpus, labels)
+    return ReferenceLabelSet(config, relevant, n_corpus, labels)
 
 
 def retrieve(corpus, reference_set, exclude=frozenset(), top_n=DEFAULT_TOP_N):
     """Score every corpus compound outside `exclude` and rank the top `top_n`.
+
+    Ids in `exclude` that the corpus lacks are ignored, so the result's
+    `excluded` is the intersection of `exclude` with the corpus.
 
     A compound's score is the sum of the reference scores of its labels
     divided by L, the number of labels it carries under the reference
@@ -224,10 +224,10 @@ def retrieve(corpus, reference_set, exclude=frozenset(), top_n=DEFAULT_TOP_N):
     index = corpus.label_index(source)
     weights = np.zeros(len(index.labels))
     in_reference = np.zeros(len(index.labels), dtype=bool)
-    for label, score in reference_set.score_map().items():
-        j = index.column.get(label)
+    for scored in reference_set:
+        j = index.column.get(scored.label)
         if j is not None:
-            weights[j] = score
+            weights[j] = scored.score
             in_reference[j] = True
 
     matrix = index.matrix
@@ -235,8 +235,8 @@ def retrieve(corpus, reference_set, exclude=frozenset(), top_n=DEFAULT_TOP_N):
     totals = matrix @ weights
     scores = np.divide(totals, n_labels, out=np.zeros_like(totals),
                        where=n_labels > 0)
-    excluded = frozenset(c for c in exclude if corpus.has_compound(c))
-    scores[corpus.positions(excluded)] = 0.0
+    rows = np.fromiter({*map(corpus._position.get, exclude)} - {None}, np.intp)
+    scores[rows] = 0.0
     hits = np.flatnonzero(scores != 0.0)
     ranked = hits[top_columns(scores[hits], top_n)]
 
@@ -247,20 +247,18 @@ def retrieve(corpus, reference_set, exclude=frozenset(), top_n=DEFAULT_TOP_N):
     names = list(map(index.labels.__getitem__, columns[in_set].tolist()))
     ends = np.cumsum(in_set)[np.cumsum(lengths) - 1].tolist()
     matched = [tuple(names[lo:hi]) for lo, hi in zip([0] + ends, ends)]
-    entries = tuple(map(
-        RankedCompound, map(corpus.compound_ids().__getitem__, ranked.tolist()),
-        scores[ranked].tolist(), lengths.tolist(), matched))
-    return RetrievalResult(entries=entries, excluded=excluded, source=source)
+    ids = corpus.compound_ids().__getitem__
+    entries = tuple(map(RankedCompound, map(ids, ranked.tolist()),
+                        scores[ranked].tolist(), lengths.tolist(), matched))
+    return RetrievalResult(entries, frozenset(map(ids, rows.tolist())), source)
 
 
 def consensus(*results):
     """Compounds retrieved by every run (set intersection of the rankings)."""
     if not results:
         raise ValueError("consensus needs at least one retrieval result")
-    agreed = set(results[0].compound_ids())
-    for result in results[1:]:
-        agreed &= set(result.compound_ids())
-    return agreed
+    return set(results[0].compound_ids()).intersection(
+        *(result.compound_ids() for result in results[1:]))
 
 
 # -- TSV import/export ------------------------------------------------------

@@ -47,9 +47,9 @@ class SyntheticSpec:
         if self.n_clusters < 1:
             raise ValueError("n_clusters must be >= 1")
         if self.n_clusters > self.n_compounds:
-            raise ValueError("more clusters than compounds")
+            raise ValueError("n_clusters exceeds n_compounds")
         if self.n_clusters > self.n_targets:
-            raise ValueError("more clusters than targets")
+            raise ValueError("n_clusters exceeds n_targets")
         if self.labels_per_compound < _CORE_LABELS:
             raise ValueError("labels_per_compound is below the core labels")
         if self.labels_per_compound > self.pool_size:
@@ -58,14 +58,14 @@ class SyntheticSpec:
             raise ValueError("need at least one label source")
         for name in (*self.sources, self.activity_type):
             if not name.strip() or _unwritable(name):
-                raise ValueError("a source or activity type must be non-empty "
+                raise ValueError("sources and activity_type must be non-empty "
                                  f"and hold no tab, CR or LF, got {name!r}")
         lo, hi = self.targets_per_compound
         if not 1 <= lo <= hi:
             raise ValueError("targets_per_compound must be an increasing range >= 1")
-        for rate in (self.label_noise, self.activity_noise):
-            if not 0.0 <= rate <= 1.0:
-                raise ValueError("noise rates must be in [0, 1]")
+        for name in ("label_noise", "activity_noise"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ValueError(f"{name} must be in [0, 1]")
 
 
 class SyntheticPaths(NamedTuple):

@@ -114,7 +114,7 @@ def doc_score(compound_labels, reference_set):
     labels = frozenset(compound_labels)
     if not labels:
         return 0.0, 0, ()
-    score_map = reference_set.score_map()
+    score_map = {sl.label: sl.score for sl in reference_set.labels}
     matched = sorted(l for l in labels if l in score_map)
     total = 0.0
     for label in matched:

@@ -26,101 +26,114 @@ def run(capsys, *argv):
     return code, captured.out
 
 
-def _case(case_id, *argv):
-    return pytest.param(argv, id=case_id)
+def _case(case_id, named, *argv):
+    return pytest.param(argv, named, id=case_id)
 
 
 # One bad invocation per numeric flag of each subcommand, plus other bad
-# values that are checked: each must exit 2 with a single ERROR line and
-# write nothing, and read no input unless it names a label source, which
-# only the corpus can tell apart (`XX` is none).  `a-dir` (an empty
-# directory) and `a-file` (an empty file) exist in the working directory,
-# for the output paths that cannot be written.
+# values that are checked: each must exit 2 with a single ERROR line, write
+# nothing, and read no input unless it names a label source, which only the
+# corpus can tell apart (`XX` is none).  A case's second field is what its
+# ERROR line must name: the flag typed, the unknown source or the output
+# path.  `a-dir` (an empty directory) and `a-file` (an empty file) exist in
+# the working directory, for the output paths that cannot be written.
 # `--data-dir` is appended for every subcommand but generate-synthetic,
 # which reads no corpus.
 INVALID_FLAG_CASES = [
-    _case("rank", "train", "--rank", "0", "--out", "m.tsv"),
-    _case("sim-threshold", "train", "--similarity", "jaccard:CF",
-          "--sim-threshold", "1.5", "--out", "m.tsv"),
-    _case("folds", "evaluate", "--folds", "1", "--out-dir", "eval"),
-    _case("k", "evaluate", "-k", "0,30", "--out-dir", "eval"),
-    _case("min-train-targets", "evaluate", "--min-train-targets", "0",
+    _case("rank", "--rank", "train", "--rank", "0", "--out", "m.tsv"),
+    _case("sim-threshold", "--sim-threshold", "train", "--similarity",
+          "jaccard:CF", "--sim-threshold", "1.5", "--out", "m.tsv"),
+    _case("folds", "--folds", "evaluate", "--folds", "1", "--out-dir", "eval"),
+    _case("k", "-k", "evaluate", "-k", "0,30", "--out-dir", "eval"),
+    _case("min-train-targets", "--min-train-targets", "evaluate",
+          "--min-train-targets", "0", "--out-dir", "eval"),
+    _case("sample-size", "--sample-size", "evaluate", "--sample-size", "0",
           "--out-dir", "eval"),
-    _case("sample-size", "evaluate", "--sample-size", "0", "--out-dir", "eval"),
-    _case("sample-size-negative", "evaluate", "--sample-size", "-5",
-          "--out-dir", "eval"),
-    _case("min-count", "noir", "--target", "T0000", "--activity-type", "IC50",
-          "--min-count", "1", "--out-dir", "noir"),
-    _case("top-n", "noir", "--target", "T0000", "--activity-type", "IC50",
-          "--top-n", "0", "--out-dir", "noir"),
-    _case("lambda-nan", "train", "--lambda", "nan", "--out", "m.tsv"),
-    _case("lambda-inf", "train", "--lambda", "inf", "--similarity",
-          "jaccard:CF", "--out", "m.tsv"),
-    _case("recommend-k-zero", "recommend", "--model", "model.tsv",
+    _case("sample-size-negative", "--sample-size", "evaluate",
+          "--sample-size", "-5", "--out-dir", "eval"),
+    _case("min-count", "--min-count", "noir", "--target", "T0000",
+          "--activity-type", "IC50", "--min-count", "1", "--out-dir", "noir"),
+    _case("top-n", "--top-n", "noir", "--target", "T0000", "--activity-type",
+          "IC50", "--top-n", "0", "--out-dir", "noir"),
+    _case("lambda-nan", "--lambda", "train", "--lambda", "nan", "--out",
+          "m.tsv"),
+    _case("lambda-inf", "--lambda", "train", "--lambda", "inf",
+          "--similarity", "jaccard:CF", "--out", "m.tsv"),
+    _case("recommend-k-zero", "-k", "recommend", "--model", "model.tsv",
           "--compounds", "C00000", "-k", "0"),
-    _case("recommend-k-negative", "recommend", "--model", "model.tsv",
+    _case("recommend-k-negative", "-k", "recommend", "--model", "model.tsv",
           "--compounds", "C00000", "-k", "-3"),
-    _case("tol-inf", "train", "--tol", "inf", "--out", "m.tsv"),
-    _case("max-iters", "train", "--max-iters", "0", "--out", "m.tsv"),
-    _case("seed-negative", "train", "--seed", "-1", "--out", "m.tsv"),
-    _case("threshold-nan", "noir", "--target", "T0000", "--activity-type",
-          "IC50", "--threshold", "nan", "--out-dir", "noir"),
-    _case("threshold-negative", "noir", "--target", "T0000", "--activity-type",
-          "IC50", "--threshold", "-5", "--out-dir", "noir"),
-    _case("noise-cap", "noir", "--target", "T0000", "--activity-type", "IC50",
-          "--noise-cap", "0", "--out-dir", "noir"),
-    _case("set-size", "noir", "--target", "T0000", "--activity-type", "IC50",
-          "--set-size", "0", "--out-dir", "noir"),
-    _case("sources-repeated", "noir", "--target", "T0000", "--activity-type",
-          "IC50", "--sources", "CF,CF", "--out-dir", "noir"),
-    _case("sources-unknown", "noir", "--target", "T0000", "--activity-type",
-          "IC50", "--sources", "CF,XX", "--out-dir", "noir"),
-    _case("similarity-unknown-source", "train", "--similarity", "jaccard:XX",
-          "--out", "m.tsv"),
-    _case("similarity-unknown-source-lambda-0", "train", "--similarity",
-          "jaccard:XX", "--lambda", "0", "--out", "m.tsv"),
-    _case("evaluate-similarity-unknown-source", "evaluate", "--similarity",
-          "none", "--similarity", "jaccard:XX", "--out-dir", "eval"),
-    _case("min-test-targets", "evaluate", "--min-test-targets", "0",
+    _case("tol-inf", "--tol", "train", "--tol", "inf", "--out", "m.tsv"),
+    _case("max-iters", "--max-iters", "train", "--max-iters", "0", "--out",
+          "m.tsv"),
+    _case("seed-negative", "--seed", "train", "--seed", "-1", "--out",
+          "m.tsv"),
+    _case("threshold-nan", "--threshold", "noir", "--target", "T0000",
+          "--activity-type", "IC50", "--threshold", "nan", "--out-dir",
+          "noir"),
+    _case("threshold-negative", "--threshold", "noir", "--target", "T0000",
+          "--activity-type", "IC50", "--threshold", "-5", "--out-dir", "noir"),
+    _case("noise-cap", "--noise-cap", "noir", "--target", "T0000",
+          "--activity-type", "IC50", "--noise-cap", "0", "--out-dir", "noir"),
+    _case("set-size", "--set-size", "noir", "--target", "T0000",
+          "--activity-type", "IC50", "--set-size", "0", "--out-dir", "noir"),
+    _case("sources-repeated", "--sources", "noir", "--target", "T0000",
+          "--activity-type", "IC50", "--sources", "CF,CF", "--out-dir",
+          "noir"),
+    _case("sources-unknown", "'XX'", "noir", "--target", "T0000",
+          "--activity-type", "IC50", "--sources", "CF,XX", "--out-dir",
+          "noir"),
+    _case("similarity-unknown-source", "'XX'", "train", "--similarity",
+          "jaccard:XX", "--out", "m.tsv"),
+    _case("similarity-unknown-source-lambda-0", "'XX'", "train",
+          "--similarity", "jaccard:XX", "--lambda", "0", "--out", "m.tsv"),
+    _case("evaluate-similarity-unknown-source", "'XX'", "evaluate",
+          "--similarity", "none", "--similarity", "jaccard:XX", "--out-dir",
+          "eval"),
+    _case("min-test-targets", "--min-test-targets", "evaluate",
+          "--min-test-targets", "0", "--out-dir", "eval"),
+    _case("evaluate-rank", "--rank", "evaluate", "--rank", "0", "--out-dir",
+          "eval"),
+    _case("evaluate-lambda-nan", "--lambda", "evaluate", "--lambda", "nan",
           "--out-dir", "eval"),
-    _case("evaluate-rank", "evaluate", "--rank", "0", "--out-dir", "eval"),
-    _case("evaluate-lambda-nan", "evaluate", "--lambda", "nan",
+    _case("evaluate-max-iters", "--max-iters", "evaluate", "--max-iters", "0",
           "--out-dir", "eval"),
-    _case("evaluate-max-iters", "evaluate", "--max-iters", "0",
+    _case("evaluate-tol-inf", "--tol", "evaluate", "--tol", "inf",
           "--out-dir", "eval"),
-    _case("evaluate-tol-inf", "evaluate", "--tol", "inf", "--out-dir", "eval"),
-    _case("evaluate-seed-negative", "evaluate", "--seed", "-1",
+    _case("evaluate-seed-negative", "--seed", "evaluate", "--seed", "-1",
           "--out-dir", "eval"),
-    _case("evaluate-sim-threshold-nan", "evaluate", "--sim-threshold", "nan",
-          "--out-dir", "eval"),
-    _case("synthetic-compounds", "generate-synthetic", "--compounds", "0",
-          "--out-dir", "syn"),
-    _case("synthetic-targets", "generate-synthetic", "--targets", "0",
-          "--out-dir", "syn"),
-    _case("synthetic-clusters", "generate-synthetic", "--clusters", "0",
-          "--out-dir", "syn"),
-    _case("synthetic-labels-per-compound", "generate-synthetic",
-          "--labels-per-compound", "0", "--out-dir", "syn"),
-    _case("synthetic-label-noise", "generate-synthetic", "--label-noise", "2",
-          "--out-dir", "syn"),
-    _case("synthetic-activity-noise-nan", "generate-synthetic",
-          "--activity-noise", "nan", "--out-dir", "syn"),
-    _case("synthetic-seed-negative", "generate-synthetic", "--seed", "-1",
-          "--out-dir", "syn"),
-    _case("synthetic-source-empty", "generate-synthetic", "--sources", "CF,",
-          "--out-dir", "syn"),
-    _case("train-out-is-dir", "train", "--rank", "2", "--max-iters", "5",
-          "--out", "a-dir"),
-    _case("train-out-in-missing-dir", "train", "--rank", "2", "--max-iters",
-          "5", "--out", "no-dir/m.tsv"),
-    _case("recommend-out-is-dir", "recommend", "--model", "model.tsv",
-          "--compounds", "C00000", "--out", "a-dir"),
-    _case("recommend-compounds-empty", "recommend", "--model", "model.tsv",
-          "--compounds", ","),
-    _case("noir-out-dir-under-file", "noir", "--target", "T0000",
-          "--activity-type", "IC50", "--out-dir", "a-file/sub"),
-    _case("evaluate-out-dir-under-file", "evaluate", "--out-dir", "a-file/sub"),
-    _case("synthetic-out-dir-under-file", "generate-synthetic",
+    _case("evaluate-sim-threshold-nan", "--sim-threshold", "evaluate",
+          "--sim-threshold", "nan", "--out-dir", "eval"),
+    _case("synthetic-compounds", "--compounds", "generate-synthetic",
+          "--compounds", "0", "--out-dir", "syn"),
+    _case("synthetic-targets", "--targets", "generate-synthetic", "--targets",
+          "0", "--out-dir", "syn"),
+    _case("synthetic-clusters", "--clusters", "generate-synthetic",
+          "--clusters", "0", "--out-dir", "syn"),
+    _case("synthetic-labels-per-compound", "--labels-per-compound",
+          "generate-synthetic", "--labels-per-compound", "0", "--out-dir",
+          "syn"),
+    _case("synthetic-label-noise", "--label-noise", "generate-synthetic",
+          "--label-noise", "2", "--out-dir", "syn"),
+    _case("synthetic-activity-noise-nan", "--activity-noise",
+          "generate-synthetic", "--activity-noise", "nan", "--out-dir", "syn"),
+    _case("synthetic-seed-negative", "--seed", "generate-synthetic", "--seed",
+          "-1", "--out-dir", "syn"),
+    _case("synthetic-source-empty", "--sources", "generate-synthetic",
+          "--sources", "CF,", "--out-dir", "syn"),
+    _case("train-out-is-dir", "a-dir", "train", "--rank", "2", "--max-iters",
+          "5", "--out", "a-dir"),
+    _case("train-out-in-missing-dir", "no-dir/m.tsv", "train", "--rank", "2",
+          "--max-iters", "5", "--out", "no-dir/m.tsv"),
+    _case("recommend-out-is-dir", "a-dir", "recommend", "--model",
+          "model.tsv", "--compounds", "C00000", "--out", "a-dir"),
+    _case("recommend-compounds-empty", "--compounds", "recommend", "--model",
+          "model.tsv", "--compounds", ","),
+    _case("noir-out-dir-under-file", "a-file/sub", "noir", "--target",
+          "T0000", "--activity-type", "IC50", "--out-dir", "a-file/sub"),
+    _case("evaluate-out-dir-under-file", "a-file/sub", "evaluate",
+          "--out-dir", "a-file/sub"),
+    _case("synthetic-out-dir-under-file", "a-file/sub", "generate-synthetic",
           "--out-dir", "a-file/sub"),
 ]
 
@@ -700,9 +713,9 @@ class TestParser:
         assert evaluate.sample_size == 10_000
         assert evaluate.min_train_targets == evaluate.min_test_targets == 3
 
-    @pytest.mark.parametrize("argv", INVALID_FLAG_CASES)
-    def test_invalid_numeric_flag_is_config_error(self, argv, data_dir,
-                                                  tmp_path, capsys,
+    @pytest.mark.parametrize(("argv", "named"), INVALID_FLAG_CASES)
+    def test_invalid_numeric_flag_is_config_error(self, argv, named,
+                                                  data_dir, tmp_path, capsys,
                                                   monkeypatch, input_reads):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "a-dir").mkdir()
@@ -721,8 +734,8 @@ class TestParser:
         assert code == 2
         assert bool(input_reads) == reads_input, input_reads
         assert "Traceback" not in err
-        assert len([line for line in err.splitlines()
-                    if line.startswith("ERROR")]) == 1
+        errors = [line for line in err.splitlines() if line.startswith("ERROR")]
+        assert len(errors) == 1 and named in errors[0], errors
         for flag in ("--out", "--out-dir"):
             if flag in argv:
                 out = tmp_path / argv[argv.index(flag) + 1]

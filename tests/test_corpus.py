@@ -405,6 +405,19 @@ class TestCompoundsForTarget:
     def test_known_target_other_type_empty(self, corpus):
         assert corpus.compounds_for_target("T", "IC50", math.inf) == set()
 
+    @pytest.mark.parametrize("activity_type, threshold", [
+        ("EC50", math.inf), ("EC50", 30.0), ("IC50", math.inf)],
+        ids=["inf", "finite", "type-absent"])
+    def test_is_the_id_view_of_the_row_query(self, corpus, activity_type,
+                                             threshold):
+        rows = corpus._relevant_rows("T", activity_type, threshold)
+        assert rows.dtype.kind == "i"
+        assert len(set(rows.tolist())) == len(rows)
+        assert corpus.compounds_for_target("T", activity_type, threshold) \
+            == {corpus.compound_ids()[i] for i in rows.tolist()}
+        with pytest.raises(UnknownTargetError, match="^unknown target 'NOPE'$"):
+            corpus._relevant_rows("NOPE", activity_type, threshold)
+
     def test_monotone_in_threshold(self, make_corpus):
         rng = np.random.default_rng(5)
         rows = [(f"c{i}", "T", "IC50", float(rng.uniform(0.1, 100)))
@@ -585,3 +598,23 @@ class TestIndexesMatchRawRows:
                     if compound == cid and activity_type in (None, atype)}
         with pytest.raises(UnknownCompoundError):
             corpus.targets_of("ghost")
+
+
+@pytest.mark.parametrize("lookup", [
+    lambda corpus: corpus.positions(["c1", "ghost", "c2"]),
+    lambda corpus: corpus.smiles_of("ghost"),
+    lambda corpus: corpus.labels_of("ghost", "CF"),
+    lambda corpus: corpus.targets_of("ghost"),
+    lambda corpus: corpus.targets_of("ghost", "IC50"),
+], ids=["positions", "smiles_of", "labels_of", "targets_of",
+        "targets_of-typed"])
+def test_unknown_compound_is_reported_alike(lookup):
+    corpus = Corpus.build(["c1", "c2"], [("c1", "CF", "x")],
+                          [("c2", "T", "IC50", 1.0)])
+    with pytest.raises(UnknownCompoundError,
+                       match="^unknown compound 'ghost'$") as raised:
+        lookup(corpus)
+    # no KeyError is chained onto the report
+    error = raised.value
+    assert error.__cause__ is None
+    assert error.__context__ is None or error.__suppress_context__

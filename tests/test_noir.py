@@ -13,6 +13,7 @@ from helpers import (
 from repurpose import (
     Corpus,
     FormatError,
+    SyntheticSpec,
     NoRelevantCompoundsError,
     RankedCompound,
     ReferenceLabelSet,
@@ -22,6 +23,8 @@ from repurpose import (
     UnknownSourceError,
     build_reference_set,
     consensus,
+    generate_synthetic,
+    load_corpus,
     read_reference_set,
     retrieve,
     write_reference_set,
@@ -431,6 +434,40 @@ class TestRetrieveMatchesOracle:
             self, retrieval_corpus):
         result = retrieve(retrieval_corpus, make_reference("OC", {"A": 1.0}))
         assert len(result) == 0
+
+
+class TestRowsInside:
+    """NOIR counts and ranks on corpus rows: neither the reference set nor
+    the retrieval maps ids to rows through the corpus's id views."""
+
+    @pytest.fixture
+    def id_views(self, monkeypatch):
+        """Calls of `Corpus.positions` and `Corpus.compounds_for_target`."""
+        calls = []
+        for name in ("positions", "compounds_for_target"):
+            method = getattr(Corpus, name)
+
+            def counted(self, *args, _name=name, _method=method, **kwargs):
+                calls.append(_name)
+                return _method(self, *args, **kwargs)
+            monkeypatch.setattr(Corpus, name, counted)
+        return calls
+
+    def test_no_id_round_trip_on_a_planted_corpus(self, tmp_path, id_views):
+        spec = SyntheticSpec(n_compounds=200, n_targets=20, n_clusters=4)
+        paths, _ = generate_synthetic(spec, tmp_path, seed=3)
+        corpus = load_corpus(paths.compounds, paths.labels, paths.activities)
+        config = ReferenceSetConfig(target="T0003", source="CF",
+                                    activity_type="IC50",
+                                    activity_threshold_nm=3000.0)
+        reference = build_reference_set(corpus, config)
+        result = retrieve(corpus, reference,
+                          exclude=reference.relevant | {"ghost"})
+        assert id_views == []
+        assert len(reference) and len(result)
+        assert result.excluded == reference.relevant
+        assert reference.relevant == corpus.compounds_for_target(
+            "T0003", "IC50", 3000.0)
 
 
 class TestConsensus:
