@@ -124,12 +124,13 @@ def _parse_k_list(text):
         raise ConfigError(f"bad -k list {text!r}; expected e.g. 30,50,100") from None
 
 
-def _check_source(corpus, source):
-    """Report a label source the corpus cannot serve as a usage error."""
+def _check_source(corpus, flag, source):
+    """Report a label source the corpus cannot serve as a usage error that
+    names the flag it was given by."""
     try:
         corpus.label_index(source)
     except UnknownSourceError as exc:
-        raise ConfigError(str(exc)) from None
+        raise ConfigError(f"{flag}: {exc}") from None
 
 
 def _similarity_source(choice, corpus, lam):
@@ -139,7 +140,7 @@ def _similarity_source(choice, corpus, lam):
         return None
     if choice.startswith("jaccard:") and len(choice) > len("jaccard:"):
         source = choice.split(":", 1)[1]
-        _check_source(corpus, source)
+        _check_source(corpus, "--similarity", source)
         return source if lam > 0 else None
     raise ConfigError(
         f"bad --similarity {choice!r}; expected 'none' or 'jaccard:<SOURCE>'")
@@ -216,7 +217,7 @@ def cmd_noir(args):
               for source in sources if args.edited_references}
     corpus = _load(args.data_dir)
     for source in sources:
-        _check_source(corpus, source)
+        _check_source(corpus, "--sources", source)
     os.makedirs(args.out_dir, exist_ok=True)
 
     if edited:

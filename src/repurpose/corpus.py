@@ -19,8 +19,12 @@ columns.  A column becomes int32 codes in one C-level pass of lookups in a
 dict that strips, checks and interns a field the first time it is seen, so
 Python-level work grows with the distinct ids, labels and targets, not with
 the rows.  The codes fill arrays allocated once per file, from which the
-CSRs are sorted.  `Corpus.build` runs in-memory rows through the same path
-as one chunk.
+CSRs are sorted.  Each source's or type's entries get one cell key each,
+row * columns + column, which is int32 unless the matrix has more cells
+than int32 holds.  A group's keys are sorted in place: with its values by
+one stable argsort for an activity type, and by a plain sort for a label
+incidence matrix, whose values are all 1.  `Corpus.build` runs in-memory
+rows through the same path as one chunk.
 """
 
 from __future__ import annotations
@@ -295,6 +299,10 @@ class _Vocabulary(dict):
         rank[[self._values[v] for v in values]] = np.arange(len(values))
         return values, rank
 
+    def by_value(self):
+        """(value, code) pairs in sorted value order."""
+        return sorted(self._values.items())
+
 
 class _CompoundCodes(dict):
     """{raw compound field: row of its stripped id}, `_BAD` for an empty id
@@ -311,11 +319,12 @@ class _CompoundCodes(dict):
 
 
 def _fill_codes(block, columns, coders):
-    """Fill each row of `block` with the codes of one column; return the
-    mask of the rows holding a `_BAD` field."""
+    """Fill each row of `block` with the codes of one column, the first
+    being compound codes; return the masks of the rows holding a `_BAD`
+    field and of those naming an `_UNKNOWN` compound."""
     for out, column, coder in zip(block, columns, coders):
         out[:] = np.fromiter(map(coder.__getitem__, column), np.int32, len(out))
-    return (block == _BAD).any(axis=0)
+    return (block == _BAD).any(axis=0), block[0] == _UNKNOWN
 
 
 def _first(mask):
@@ -323,18 +332,41 @@ def _first(mask):
     return int(mask.argmax()) if mask.any() else None
 
 
-def _min_csr(rows, cols, values, shape):
-    """CSR of the entries (rows, cols, values), with indices sorted in each
-    row; a repeated (row, col) keeps its smallest value."""
-    key = rows.astype(np.int64) * shape[1] + cols  # int32 codes: below 2**62
-    order = np.argsort(key, kind="stable")
-    key = key[order]
-    starts = np.flatnonzero(np.diff(key, prepend=-1))
-    values = np.minimum.reduceat(values[order], starts)
-    key = key[starts]
-    indptr = np.zeros(shape[0] + 1, dtype=np.int64)
-    np.cumsum(np.bincount(key // shape[1], minlength=shape[0]), out=indptr[1:])
-    return sp.csr_matrix((values, key % shape[1], indptr), shape=shape)
+def _cell_keys(rows, cols, shape):
+    """The cell key row * shape[1] + col of each entry: int32 when every
+    cell of `shape` has an int32 key, else int64."""
+    n_rows, n_cols = shape
+    wide = n_rows * n_cols > np.iinfo(np.int32).max
+    key = np.multiply(rows, n_cols, dtype=np.int64 if wide else np.int32)
+    key += cols
+    return key
+
+
+def _min_csr(key, values, shape):
+    """CSR of the entries with cell keys `key` (see `_cell_keys`) and
+    values `values`, or 1.0 each when `values` is None, with indices sorted
+    in each row; a repeated cell keeps its smallest value.  `key` and
+    `values` are sorted in place."""
+    n_rows, n_cols = shape
+    if values is None:
+        key.sort()
+    else:
+        order = np.argsort(key, kind="stable")
+        key[:] = key[order]
+        values[:] = values[order]
+        del order
+    first = np.empty(len(key), dtype=bool)
+    first[:1] = True
+    np.not_equal(key[1:], key[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    del first
+    cells = key[starts]
+    data = (np.ones(len(cells)) if values is None
+            else np.minimum.reduceat(values, starts))
+    del starts
+    indptr = np.zeros(n_rows + 1, dtype=np.int64)
+    np.cumsum(np.bincount(cells // n_cols, minlength=n_rows), out=indptr[1:])
+    return sp.csr_matrix((data, cells % n_cols, indptr), shape=shape)
 
 
 def _ingest(compounds, labels, activities):
@@ -390,9 +422,9 @@ def _ingest_labels(where, read, compound, n_compounds):
     codes = np.empty((3, bound), dtype=np.int32)  # compound, source, label
     n = 0
     for linenos, columns in chunks:
-        block = codes[:, n:n + len(linenos)]
-        bad = _fill_codes(block, columns, (compound, sources, names))
-        k = _first(bad | (block[0] == _UNKNOWN))
+        bad, unknown = _fill_codes(codes[:, n:n + len(linenos)], columns,
+                                   (compound, sources, names))
+        k = _first(bad | unknown)
         if k is not None:
             cid, source, label = (columns[0][k].strip(), columns[1][k].strip(),
                                   columns[2][k])
@@ -404,19 +436,18 @@ def _ingest_labels(where, read, compound, n_compounds):
         n += len(linenos)
     rows, source_codes, label_codes = codes[:, :n]
 
-    source_names, source_rank = sources.ranked()
-    source_codes = source_rank[source_codes]
     labels, label_rank = names.ranked()
     label_index = {}
-    for code, source in enumerate(source_names):
+    for source, code in sources.by_value():
         mask = source_codes == code
         ranks = label_rank[label_codes[mask]]
         used = np.zeros(len(labels), dtype=bool)
         used[ranks] = True
         columns = np.cumsum(used, dtype=np.int32) - 1
         vocab = tuple(labels[r] for r in np.flatnonzero(used).tolist())
-        matrix = _min_csr(rows[mask], columns[ranks], np.ones(len(ranks)),
-                          (n_compounds, len(vocab)))
+        shape = (n_compounds, len(vocab))
+        matrix = _min_csr(_cell_keys(rows[mask], columns[ranks], shape), None,
+                          shape)
         label_index[source] = LabelIndex(
             matrix, vocab, {label: j for j, label in enumerate(vocab)},
             np.bincount(matrix.indices, minlength=len(vocab)))
@@ -432,15 +463,15 @@ def _ingest_activities(where, read, compound, n_compounds):
     values = np.empty(bound)
     n = 0
     for linenos, columns in chunks:
-        block = codes[:, n:n + len(linenos)]
-        bad = _fill_codes(block, columns, (compound, targets, types))
+        bad, unknown = _fill_codes(codes[:, n:n + len(linenos)], columns,
+                                   (compound, targets, types))
         value = values[n:n + len(linenos)]
         try:
             value[:] = np.fromiter(map(float, columns[3]), np.float64, len(value))
         except (TypeError, ValueError):
             value[:] = [_float(raw) for raw in columns[3]]
         bad_value = ~(np.isfinite(value) & (value > 0))
-        k = _first(bad | bad_value | (block[0] == _UNKNOWN))
+        k = _first(bad | bad_value | unknown)
         if k is not None:
             cid, tid, atype = (field[k].strip() for field in columns[:3])
             if bad[k]:
@@ -456,15 +487,15 @@ def _ingest_activities(where, read, compound, n_compounds):
     values = values[:n]
 
     target_ids, rank = targets.ranked()
-    columns = rank[target_codes]
     shape = (n_compounds, len(target_ids))
-    type_names, type_rank = types.ranked()
-    type_codes = type_rank[type_codes]
+    key = _cell_keys(rows, rank[target_codes], shape)
+    # the type codes alone outlive the code array
+    type_codes = type_codes.copy()
+    del codes, rows, target_codes
     activity_index = {}
-    for code, atype in enumerate(type_names):
+    for atype, code in types.by_value():
         mask = type_codes == code
-        activity_index[atype] = _min_csr(rows[mask], columns[mask], values[mask],
-                                         shape)
+        activity_index[atype] = _min_csr(key[mask], values[mask], shape)
     return tuple(target_ids), activity_index
 
 

@@ -20,7 +20,7 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 
-from .corpus import _min_csr
+from .corpus import _cell_keys, _min_csr
 from .errors import (
     FactorizationError,
     FormatError,
@@ -141,8 +141,8 @@ def build_interaction_matrix(corpus, activity_types="IC50"):
     # the rows and columns that hold an entry
     rows, cols, values = (np.concatenate(arrays) for arrays in zip(
         *((part.row, part.col, part.data) for part in parts)))
-    merged = _min_csr(rows, cols, values,
-                      (corpus.n_compounds, len(corpus.target_ids())))
+    shape = (corpus.n_compounds, len(corpus.target_ids()))
+    merged = _min_csr(_cell_keys(rows, cols, shape), values, shape)
     row_ids = np.flatnonzero(np.diff(merged.indptr))
     used = np.bincount(merged.indices, minlength=merged.shape[1]) > 0
     col_ids, column = np.flatnonzero(used), np.cumsum(used) - 1
@@ -262,13 +262,19 @@ def _train_core(X, S, config, on_iteration):
 
     # J is read off the products the updates use.  With L = D - S, the
     # penalty (lam/2) sum_{i<j} S_ij ||u_i - u_j||^2 is the Laplacian form
-    # (lam/2) tr(U^T L U) = (lam/2) (sum_i d_i ||u_i||^2 - <U, S U>).  X V,
-    # V^T V and S U are formed once at the end of each iteration: they
-    # score it, then feed the next U-update (X V and S U in the numerator,
-    # V^T V in the denominator).  U^T U comes from the V-update.  Once the
-    # numerator is formed, the X V and S U buffers hold the denominator's
-    # two terms, and S U is written back into its buffer.
-    XV, gram_v = X_csr @ V, V.T @ V
+    # (lam/2) tr(U^T L U) = (lam/2) (sum_i d_i ||u_i||^2 - <U, S U>).  S U,
+    # X V and V^T V are formed once at the end of each iteration, in that
+    # order: they score it, then feed the next U-update (X V and S U in the
+    # numerator, V^T V in the denominator).  U^T U comes from the V-update.
+    #
+    # At most four n x r arrays are live at once (the V side's are m x r):
+    # - the U-update holds U, X V, S U and the numerator; the X V and S U
+    #   buffers then hold the denominator's two terms, and all three go
+    #   once U is updated;
+    # - S U holds U, U gathered into stored order, and the two halves; the
+    #   half above the diagonal goes before the sum is gathered back into
+    #   compound order, and the gathered U and the other half after;
+    # - X V and the objective then hold U, S U, X V and one product.
     degrees = graph.degrees() if regularize else None
     converged = False
     # S U is begun right after the U-update: one worker thread sums its
@@ -279,8 +285,8 @@ def _train_core(X, S, config, on_iteration):
     with ThreadPoolExecutor(max_workers=1) as pool:
         SU = None
         if regularize:
-            SU = graph._finish_product(graph._start_product(U, pool.submit),
-                                       np.empty_like(U))
+            SU = graph._finish_product(graph._start_product(U, pool.submit))
+        XV, gram_v = X_csr @ V, V.T @ V
         trace = [_objective_from_products(
             x_sq, U, XV, U.T @ U, gram_v, lam, degrees, SU)]
         for iteration in range(1, config.max_iters + 1):
@@ -293,22 +299,22 @@ def _train_core(X, S, config, on_iteration):
                 XV += eps
                 num /= XV
                 U *= num
-                del num
+                del num, SU, XV
                 pending = graph._start_product(U, pool.submit)
             else:
                 U *= XV / (U @ gram_v + eps)
+                del XV
             XtU = X_csr.T @ U
             gram_u = U.T @ U
             V *= XtU / (V @ gram_u + eps)
             if __debug__:
                 assert (U >= 0.0).all() and (V >= 0.0).all()
 
-            XV, gram_v = X_csr @ V, V.T @ V
             if regularize:
-                SU = graph._finish_product(pending, SU)
-                # frees the gather and the worker's half before the next
-                # U-update
+                SU = graph._finish_product(pending)
+                # frees the gathered U and the worker's half before X V
                 del pending
+            XV, gram_v = X_csr @ V, V.T @ V
             value = _objective_from_products(
                 x_sq, U, XV, gram_u, gram_v, lam, degrees, SU)
             if not (math.isfinite(value)

@@ -247,10 +247,11 @@ def retrieve(corpus, reference_set, exclude=frozenset(), top_n=DEFAULT_TOP_N):
     names = list(map(index.labels.__getitem__, columns[in_set].tolist()))
     ends = np.cumsum(in_set)[np.cumsum(lengths) - 1].tolist()
     matched = [tuple(names[lo:hi]) for lo, hi in zip([0] + ends, ends)]
-    ids = corpus.compound_ids().__getitem__
-    entries = tuple(map(RankedCompound, map(ids, ranked.tolist()),
+    ids = corpus.compound_ids()
+    entries = tuple(map(RankedCompound, [ids[i] for i in ranked.tolist()],
                         scores[ranked].tolist(), lengths.tolist(), matched))
-    return RetrievalResult(entries, frozenset(map(ids, rows.tolist())), source)
+    return RetrievalResult(entries, frozenset([ids[i] for i in rows.tolist()]),
+                           source)
 
 
 def consensus(*results):

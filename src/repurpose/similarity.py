@@ -152,16 +152,17 @@ class SimilarityMatrix:
         Up = U[self._order]
         return Up, submit(self._upper.T.__matmul__, Up)
 
-    def _finish_product(self, pending, out):
+    def _finish_product(self, pending):
         """End S U: form the row sums of the upper triangle (each stored
         row's terms above the diagonal) here, add them to the pending terms
-        below it, and write the sum into `out` in compound order."""
+        below it, and return the sum gathered into compound order, a new
+        array."""
         Up, below = pending
         above = self._upper @ Up
         SU = below.result()
         SU += above
-        out[self._order] = SU
-        return out
+        del above
+        return SU[self._row]
 
     def degrees(self):
         """Row sums of the symmetric matrix (the D diagonal of L = D - S),

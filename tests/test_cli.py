@@ -27,6 +27,7 @@ def run(capsys, *argv):
 
 
 def _case(case_id, named, *argv):
+    named = (named,) if isinstance(named, str) else named
     return pytest.param(argv, named, id=case_id)
 
 
@@ -34,9 +35,10 @@ def _case(case_id, named, *argv):
 # values that are checked: each must exit 2 with a single ERROR line, write
 # nothing, and read no input unless it names a label source, which only the
 # corpus can tell apart (`XX` is none).  A case's second field is what its
-# ERROR line must name: the flag typed, the unknown source or the output
-# path.  `a-dir` (an empty directory) and `a-file` (an empty file) exist in
-# the working directory, for the output paths that cannot be written.
+# ERROR line must name: the flag typed, the unknown source with its flag,
+# or the output path.  `a-dir` (an empty directory) and `a-file` (an empty
+# file) exist in the working directory, for the output paths that cannot be
+# written.
 # `--data-dir` is appended for every subcommand but generate-synthetic,
 # which reads no corpus.
 INVALID_FLAG_CASES = [
@@ -80,16 +82,17 @@ INVALID_FLAG_CASES = [
     _case("sources-repeated", "--sources", "noir", "--target", "T0000",
           "--activity-type", "IC50", "--sources", "CF,CF", "--out-dir",
           "noir"),
-    _case("sources-unknown", "'XX'", "noir", "--target", "T0000",
-          "--activity-type", "IC50", "--sources", "CF,XX", "--out-dir",
-          "noir"),
-    _case("similarity-unknown-source", "'XX'", "train", "--similarity",
-          "jaccard:XX", "--out", "m.tsv"),
-    _case("similarity-unknown-source-lambda-0", "'XX'", "train",
-          "--similarity", "jaccard:XX", "--lambda", "0", "--out", "m.tsv"),
-    _case("evaluate-similarity-unknown-source", "'XX'", "evaluate",
-          "--similarity", "none", "--similarity", "jaccard:XX", "--out-dir",
-          "eval"),
+    _case("sources-unknown", ("--sources", "'XX'"), "noir", "--target",
+          "T0000", "--activity-type", "IC50", "--sources", "CF,XX",
+          "--out-dir", "noir"),
+    _case("similarity-unknown-source", ("--similarity", "'XX'"), "train",
+          "--similarity", "jaccard:XX", "--out", "m.tsv"),
+    _case("similarity-unknown-source-lambda-0", ("--similarity", "'XX'"),
+          "train", "--similarity", "jaccard:XX", "--lambda", "0", "--out",
+          "m.tsv"),
+    _case("evaluate-similarity-unknown-source", ("--similarity", "'XX'"),
+          "evaluate", "--similarity", "none", "--similarity", "jaccard:XX",
+          "--out-dir", "eval"),
     _case("min-test-targets", "--min-test-targets", "evaluate",
           "--min-test-targets", "0", "--out-dir", "eval"),
     _case("evaluate-rank", "--rank", "evaluate", "--rank", "0", "--out-dir",
@@ -735,7 +738,8 @@ class TestParser:
         assert bool(input_reads) == reads_input, input_reads
         assert "Traceback" not in err
         errors = [line for line in err.splitlines() if line.startswith("ERROR")]
-        assert len(errors) == 1 and named in errors[0], errors
+        assert len(errors) == 1 and all(text in errors[0] for text in named), \
+            errors
         for flag in ("--out", "--out-dir"):
             if flag in argv:
                 out = tmp_path / argv[argv.index(flag) + 1]

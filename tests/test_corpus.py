@@ -16,6 +16,7 @@ from repurpose import (
     load_corpus,
     tsv,
 )
+from repurpose.corpus import _cell_keys, _min_csr
 
 
 class TestLoadCorpus:
@@ -351,10 +352,109 @@ class TestChunkBoundaries:
                     Corpus.build(compounds, label_rows[:deep + 1], activity_rows)
 
 
+def _oracle_rows(rng):
+    """Random label and activity rows with repeated pairs, repeated cells
+    and equal values, over 40 compounds; returns (compounds, labels,
+    activities)."""
+    compounds = [f"k{i:02d}" for i in range(40)]
+    labels = [(compounds[i], ("CF", "OC", "X1")[s], f"L{v}")
+              for i, s, v in zip(rng.integers(0, 37, 600),
+                                 rng.integers(0, 3, 600),
+                                 rng.integers(0, 25, 600))]
+    values = (0.5, 2.0, 2.0, 7.25, 1e4, 31.0)
+    activities = [(compounds[i], f"t{t}", ("IC50", "Ki", "EC50")[a],
+                   values[v])
+                  for i, t, a, v in zip(rng.integers(0, 37, 900),
+                                        rng.integers(0, 15, 900),
+                                        rng.integers(0, 3, 900),
+                                        rng.integers(0, 6, 900))]
+    return compounds, labels, activities
+
+
+def _assert_sorted_int32_rows(matrix):
+    assert matrix.indices.dtype == matrix.indptr.dtype == np.int32
+    for i in range(matrix.shape[0]):
+        row = matrix.indices[matrix.indptr[i]:matrix.indptr[i + 1]]
+        assert (np.diff(row) > 0).all()
+
+
+class TestSortedIngest:
+    """The label and activity matrices match a dict oracle: the label set of
+    each (compound, source) and the smallest value of each (compound,
+    target, type), with every row's indices sorted, from in-memory rows and
+    from files at every chunk size."""
+
+    @pytest.fixture(params=[1, 300, tsv._CHUNK_BYTES],
+                    ids=["chunk-1", "chunk-300", "chunk-default"])
+    def chunk_bytes(self, request, monkeypatch):
+        monkeypatch.setattr(tsv, "_CHUNK_BYTES", request.param)
+
+    @staticmethod
+    def assert_matches_oracle(corpus, labels, activities):
+        label_sets, minimum = {}, {}
+        for cid, source, label in labels:
+            label_sets.setdefault((cid, source), set()).add(label)
+        for cid, tid, atype, value in activities:
+            cell = (cid, tid, atype)
+            minimum[cell] = min(minimum.get(cell, math.inf), value)
+        ids = corpus.compound_ids()
+        assert corpus.sources() == ("CF", "OC", "X1")
+        for source in corpus.sources():
+            index = corpus.label_index(source)
+            _assert_sorted_int32_rows(index.matrix)
+            assert (index.matrix.data == 1.0).all()
+            for cid in ids:
+                assert corpus.labels_of(cid, source) == \
+                    label_sets.get((cid, source), set())
+        assert corpus.activity_types() == ("EC50", "IC50", "Ki")
+        found = {}
+        for atype in corpus.activity_types():
+            matrix = corpus.activity_matrix(atype)
+            _assert_sorted_int32_rows(matrix)
+            coo = matrix.tocoo()
+            for i, j, value in zip(coo.row, coo.col, coo.data):
+                found[(ids[i], corpus.target_ids()[j], atype)] = value
+        assert found == minimum
+
+    def test_built_rows(self):
+        rng = np.random.default_rng(29)
+        for _ in range(3):
+            rows = _oracle_rows(rng)
+            self.assert_matches_oracle(Corpus.build(*rows), *rows[1:])
+
+    def test_files(self, tmp_path, chunk_bytes):
+        rows = _oracle_rows(np.random.default_rng(30))
+        corpus = load_corpus(*write_corpus_files(tmp_path, *rows))
+        self.assert_matches_oracle(corpus, *rows[1:])
+
+    def test_key_widens_past_int32_cells(self):
+        assert _cell_keys(np.zeros(1, np.int32), np.zeros(1, np.int32),
+                          (1, 2**31 - 1)).dtype == np.int32
+        assert _cell_keys(np.zeros(1, np.int32), np.zeros(1, np.int32),
+                          (2, 2**30)).dtype == np.int64
+        rng = np.random.default_rng(31)
+        shape = (70_000, 40_000)  # 2.8e9 cells
+        rows = rng.choice([0, 1, 69_998, 69_999], 500).astype(np.int32)
+        cols = rng.choice([0, 5, 39_999], 500).astype(np.int32)
+        values = rng.choice([3.0, 1.5, 1.5, 8.0], 500)
+        minimum = {}
+        for cell in zip(rows.tolist(), cols.tolist(), values.tolist()):
+            minimum[cell[:2]] = min(minimum.get(cell[:2], math.inf), cell[2])
+        key = _cell_keys(rows, cols, shape)
+        assert key.dtype == np.int64
+        matrix = _min_csr(key, values, shape)
+        assert matrix.shape == shape
+        _assert_sorted_int32_rows(matrix)
+        coo = matrix.tocoo()
+        assert dict(zip(zip(coo.row.tolist(), coo.col.tolist()),
+                        coo.data.tolist())) == minimum
+
+
 class TestLoadMemory:
     """The loader's traced peak stays within a small multiple of the corpus
-    it returns: each file is read a chunk at a time into int32 codes, and no
-    per-row Python objects outlive their chunk."""
+    it returns: each file is read a chunk at a time into int32 codes, no
+    per-row Python objects outlive their chunk, and each matrix is sorted
+    in place on int32 cell keys."""
 
     def test_peak_rise_is_a_small_multiple_of_the_corpus(self, tmp_path):
         rng = np.random.default_rng(9)
@@ -375,8 +475,9 @@ class TestLoadMemory:
         finally:
             tracemalloc.stop()
         assert corpus.n_activity_records == len(activities)
-        # the per-row ingest peaked at about 10x what it kept
-        assert peak - before <= 3 * (kept - before)
+        # the per-row ingest peaked at about 10x what it kept, and sorting
+        # on int64 keys beside the per-type copies at about 2x
+        assert peak - before <= 1.8 * (kept - before)
 
 
 class TestCompoundsForTarget:

@@ -607,11 +607,11 @@ class TestOverlappedProduct:
 
     def test_peak_memory_is_the_sequential_count(self):
         """numpy and scipy allocate through tracemalloc, from any thread.
-        The trainer's peak holds six n x r arrays, as the sequential
-        trainer's does: U, X V, S U, the gathered U, and the two halves of
-        the next S U.  The rest does not grow with n x r: a few n-vectors
-        (the degrees, the order as intp), the target side's m x r arrays
-        and the r x r grams."""
+        The trainer's peak holds four n x r arrays: U with X V, S U and the
+        U-update's numerator, or U with the gathered U and the two halves
+        of S U.  The rest does not grow with n x r:
+        a few n-vectors (the degrees, the order as intp), the target side's
+        m x r arrays and the r x r grams."""
         rng = np.random.default_rng(5)
         n, m, r = 4000, 12, 10
         ids = [f"m{i:04d}" for i in range(n)]
@@ -630,7 +630,7 @@ class TestOverlappedProduct:
         finally:
             tracemalloc.stop()
         block = 8 * n * r
-        assert peak - before <= 6 * block + 4 * 8 * n + 8 * 8 * m * r + 65_536
+        assert peak - before <= 4 * block + 4 * 8 * n + 8 * 8 * m * r + 65_536
 
 
 class TestPredict:

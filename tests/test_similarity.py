@@ -257,8 +257,7 @@ class TestStoredOrderProduct:
         n = graph.n_compounds
         U = rng.random((n, 3))
         with ThreadPoolExecutor(max_workers=1) as pool:
-            got = graph._finish_product(graph._start_product(U, pool.submit),
-                                        np.empty_like(U))
+            got = graph._finish_product(graph._start_product(U, pool.submit))
         assert got.tobytes() == stored_order_product(graph, U).tobytes()
         degrees = graph.degrees()
         assert degrees.tobytes() == \
