@@ -220,16 +220,13 @@ def cmd_noir(args):
         _check_source(corpus, "--sources", source)
     os.makedirs(args.out_dir, exist_ok=True)
 
-    if edited:
-        # exclusion still uses the relevant set the corpus gives
-        relevant = corpus.compounds_for_target(
-            args.target, args.activity_type, args.threshold)
+    # an edited reference set carries no relevant set: the corpus gives it
+    exclude = () if args.keep_relevant else corpus.compounds_for_target(
+        args.target, args.activity_type, args.threshold)
     results = {}
     for source in sources:
         reference = (edited[source] if edited
                      else build_reference_set(corpus, configs[source]))
-        exclude = () if args.keep_relevant else (
-            relevant if edited else reference.relevant)
         result = retrieve(corpus, reference, exclude=exclude, top_n=args.top_n)
         ref_path = os.path.join(args.out_dir, f"reference_{source}.tsv")
         hits_path = os.path.join(args.out_dir, f"retrieval_{source}.tsv")

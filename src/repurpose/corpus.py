@@ -397,14 +397,8 @@ def _ingest_compounds(where, read):
     smiles = {}
     _, chunks = read()
     for linenos, (cids, smis) in chunks:
-        ids = [cid.strip() for cid in cids]
-        chunk = dict(zip(ids, smis))
-        if (all(ids) and len(chunk) == len(ids) and smiles.keys().isdisjoint(chunk)
-                and not _unwritable("".join(ids) + "".join(smis))):
-            smiles.update(chunk)
-            continue
-        # an empty, illegal or repeated id: check the chunk row by row
-        for lineno, cid, smi in zip(linenos, ids, smis):
+        for lineno, cid, smi in zip(linenos, cids, smis):
+            cid = cid.strip()
             if not cid or _unwritable(cid + smi):
                 raise FormatError(where, lineno, "empty id or tab/CR/LF in "
                                   f"compound row {(cid, smi)!r}")

@@ -15,12 +15,11 @@ import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 import scipy.sparse as sp
 
-from .corpus import _cell_keys, _min_csr
 from .errors import (
     FactorizationError,
     FormatError,
@@ -28,6 +27,7 @@ from .errors import (
     UnknownCompoundError,
 )
 from .similarity import SimilarityMatrix
+from .tsv import _not_utf8
 
 WEAK_INTERACTION_VALUE = 1.0
 _LINEAR_RANGE_MAX_NM = 10_000.0
@@ -124,7 +124,8 @@ def build_interaction_matrix(corpus, activity_types="IC50"):
     `activity_types` may be one type name, a collection of names, or None
     for all types.  Rows and columns are restricted to compounds/targets
     with at least one qualifying record; each entry is the transform of the
-    minimum (most potent) value across the qualifying records of the pair.
+    minimum (most potent) value across the qualifying records of the pair:
+    the types' CSRs, as stored, are transformed and merged by entrywise max.
     """
     if activity_types is None:
         allowed = set(corpus.activity_types())
@@ -132,24 +133,25 @@ def build_interaction_matrix(corpus, activity_types="IC50"):
         allowed = {activity_types}
     else:
         allowed = set(activity_types)
-    parts = [corpus.activity_matrix(atype).tocoo() for atype in allowed]
+    parts = [corpus.activity_matrix(atype) for atype in allowed]
     if not any(part.nnz for part in parts):
         wanted = "any type" if activity_types is None else ", ".join(sorted(allowed))
         raise NoInteractionsError(f"no activity record matches type filter ({wanted})")
 
-    # the most potent value of each pair over the selected types, then only
-    # the rows and columns that hold an entry
-    rows, cols, values = (np.concatenate(arrays) for arrays in zip(
-        *((part.row, part.col, part.data) for part in parts)))
-    shape = (corpus.n_compounds, len(corpus.target_ids()))
-    merged = _min_csr(_cell_keys(rows, cols, shape), values, shape)
+    # The transform never increases and every entry is >= 1, so the maximum
+    # of the transforms is the transform of the minimum, and the 0 of a pair
+    # absent from one type never wins
+    merged = reduce(sp.csr_matrix.maximum, (
+        sp.csr_matrix((transform_activity(part.data), part.indices,
+                       part.indptr), shape=part.shape) for part in parts))
+    # then only the rows and columns that hold an entry
     row_ids = np.flatnonzero(np.diff(merged.indptr))
     used = np.bincount(merged.indices, minlength=merged.shape[1]) > 0
     col_ids, column = np.flatnonzero(used), np.cumsum(used) - 1
     compounds = tuple(corpus.compound_ids()[i] for i in row_ids.tolist())
     targets = tuple(corpus.target_ids()[j] for j in col_ids.tolist())
     matrix = sp.csr_matrix(
-        (transform_activity(merged.data), column[merged.indices],
+        (merged.data, column[merged.indices],
          merged.indptr[np.concatenate(([0], row_ids + 1))]),
         shape=(len(compounds), len(targets)))
     return InteractionMatrix(compounds, targets, matrix)
@@ -446,7 +448,10 @@ def load_model(path):
     block the file is too short for is reported before any of its rows.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        n_lines = sum(1 for _ in fh)
+        try:
+            n_lines = sum(1 for _ in fh)
+        except UnicodeDecodeError:
+            raise _not_utf8(path) from None
         fh.seek(0)
         lines = (line.rstrip("\n") for line in fh)
         if next(lines, "") != _MODEL_MAGIC:

@@ -23,6 +23,17 @@ def _line_bound(path):
     return bound
 
 
+def _not_utf8(path):
+    """The FormatError at the line of a file's first byte that is not UTF-8,
+    where LF, CR and CRLF each end a line as in text reading."""
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            try:
+                line.encode("utf-8")
+            except UnicodeEncodeError:
+                return FormatError(path, lineno, "not UTF-8 text")
+
+
 def _tsv_chunks(path, columns, header_required):
     """Yield (linenos, fields) for the data rows of a TSV file, about
     `_CHUNK_BYTES` of text at a time: fields[k][r] is column k of the row
@@ -45,7 +56,10 @@ def _tsv_chunks(path, columns, header_required):
     preamble, lineno, rest = True, 0, ""
     with open(path, "r", encoding="utf-8") as fh:
         while True:
-            text = fh.read(_CHUNK_BYTES)
+            try:
+                text = fh.read(_CHUNK_BYTES)
+            except UnicodeDecodeError:
+                raise _not_utf8(path) from None
             lines = (rest + text).split("\n")
             rest = lines.pop() if text else ""  # a line not ended yet
             first, lineno = lineno + 1, lineno + len(lines)

@@ -302,8 +302,8 @@ def test_criterion_9_cli_byte_determinism(tmp_path, capsys):
             "data": tree_bytes(data),
             "noir": tree_bytes(base / "noir"),
             "eval": tree_bytes(base / "eval"),
-            "model": open(base / "model.tsv", "rb").read(),
-            "recs": open(base / "recs.tsv", "rb").read(),
+            "model": (base / "model.tsv").read_bytes(),
+            "recs": (base / "recs.tsv").read_bytes(),
         }
     assert trees["first"] == trees["second"]
     report(9, "generate/noir/train/evaluate/recommend outputs byte-identical")

@@ -360,6 +360,60 @@ class TestNoir:
         assert len(errors) == 1 and "reference_CF.tsv" in errors[0]
         assert not out_dir.exists() or not os.listdir(out_dir)
 
+    @pytest.mark.parametrize("references", ["built", "edited"])
+    def test_relevant_compounds_retrieved_only_when_kept(
+            self, data_dir, tmp_path, references):
+        corpus = load_corpus(*(data_dir / f"{name}.tsv" for name in
+                               ("compounds", "labels", "activities")))
+        relevant = corpus.compounds_for_target("T0000", "IC50", 30.0)
+        assert relevant
+        args = ["noir", "--data-dir", str(data_dir), "--target", "T0000",
+                "--activity-type", "IC50", "--top-n", "1000"]
+        if references == "edited":
+            assert main(args + ["--out-dir", str(tmp_path / "first")]) == 0
+            args += ["--edited-references", str(tmp_path / "first")]
+        for keep in (False, True):
+            out_dir = tmp_path / f"keep-{keep}"
+            assert main(args + ["--keep-relevant"] * keep
+                        + ["--out-dir", str(out_dir)]) == 0
+            retrieved = {
+                line.split("\t")[1] for source in ("CF", "OC") for line in
+                (out_dir / f"retrieval_{source}.tsv").read_text().splitlines()[1:]}
+            assert bool(retrieved & relevant) == keep
+
+
+class TestNonUtf8Input:
+    """A byte that is not UTF-8 in a corpus file, an edited reference file
+    or a model file is one ERROR line naming its file and line."""
+
+    @pytest.mark.parametrize("command, code", [
+        ("ingest", 1), ("noir", 2), ("recommend", 1)])
+    def test_one_error_line(self, data_dir, tmp_path, capsys, command, code):
+        if command == "ingest":
+            args = ["ingest", "--data-dir", str(data_dir)]
+            path = data_dir / "activities.tsv"
+        elif command == "noir":
+            args = ["noir", "--data-dir", str(data_dir), "--target", "T0000",
+                    "--activity-type", "IC50", "--out-dir"]
+            assert main(args + [str(tmp_path / "first")]) == 0
+            args += [str(tmp_path / "second"), "--edited-references",
+                     str(tmp_path / "first")]
+            path = tmp_path / "first" / "reference_CF.tsv"
+        else:
+            path = tmp_path / "model.tsv"
+            save_hand_model(path, ["C00000", "C00001"], ["T0000"], [1.0])
+            args = ["recommend", "--data-dir", str(data_dir), "--model",
+                    str(path), "--compounds", "C00000"]
+        lines = path.read_bytes().split(b"\n")
+        lines[2] = b"\xff" + lines[2]
+        path.write_bytes(b"\n".join(lines))
+        capsys.readouterr()
+        assert main(args) == code
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        errors = [line for line in err.splitlines() if line.startswith("ERROR")]
+        assert errors == [f"ERROR {path}:3: not UTF-8 text"]
+
 
 class TestTrainEvaluateRecommend:
 

@@ -328,6 +328,30 @@ class TestChunkBoundaries:
         assert "#x" in corpus.labels_of("#c1", "CF")
         assert corpus.compounds_for_target("t0", "IC50", 1.0) == {"#c1"}
 
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"],
+                             ids=["lf", "crlf", "cr"])
+    @pytest.mark.parametrize("name, lineno, bad", [
+        ("compounds", 22, b"\xff"), ("labels", 102, b"\xc3("),
+        ("activities", 131, b"\xe2\x82")],
+        ids=["compounds", "labels", "activities-last-line"])
+    def test_non_utf8_byte_names_its_line(self, tmp_path, newline, name,
+                                          lineno, bad):
+        compounds, labels, activities = _chunk_rows()
+        # valid UTF-8 above the bad byte does not move its line
+        compounds[3] = ("c03", "C\u00e9C")
+        labels[3] = ("c00", "OC", "\u00e9\u20ac")
+        activities[3] = ("c00", "t\u00e9", "Ki", "2.5")
+        paths = _write_files(tmp_path, compounds, labels, activities,
+                             newline=newline, final_newline=False)
+        path = next(path for path in paths if path.stem == name)
+        lines = path.read_bytes().split(newline.encode())
+        assert len(lines) >= lineno
+        lines[lineno - 1] += bad
+        path.write_bytes(newline.encode().join(lines))
+        with pytest.raises(FormatError,
+                           match=f"{name}.tsv:{lineno}: not UTF-8 text$"):
+            load_corpus(*paths)
+
     def test_bad_row_deep_in_file_names_its_line(self, tmp_path):
         compounds, labels, activities = _chunk_rows()
         deep = 100  # a row far below the first chunk, on line 102

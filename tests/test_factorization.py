@@ -106,10 +106,48 @@ class TestBuildInteractionMatrix:
         interactions = build_interaction_matrix(corpus, None)
         assert interactions.matrix.toarray()[0, 0] == transform_activity(2000.0)
 
+    def test_equal_transforms_merge_to_one_entry(self, make_corpus):
+        # 20,000 and 30,000 nM both map to the weak constant 1.0
+        corpus = make_corpus(
+            ["c1", "c2"], [],
+            [("c1", "t1", "IC50", 20_000.0), ("c1", "t1", "EC50", 30_000.0),
+             ("c2", "t1", "EC50", 30_000.0), ("c2", "t2", "IC50", 20_000.0)])
+        interactions = build_interaction_matrix(corpus, None)
+        assert interactions.matrix.toarray().tolist() == [[1.0, 0.0],
+                                                          [1.0, 1.0]]
+        assert interactions.n_entries == 3
+
     def test_empty_result_raises(self, make_corpus):
         corpus = make_corpus(["c1"], [], [("c1", "t1", "EC50", 5.0)])
         with pytest.raises(NoInteractionsError):
             build_interaction_matrix(corpus, "IC50")
+
+    def test_no_type_selected_raises(self, make_corpus):
+        corpus = make_corpus(["c1"], [], [("c1", "t1", "IC50", 5.0)])
+        with pytest.raises(NoInteractionsError,
+                           match=r"^no activity record matches type filter \(\)$"):
+            build_interaction_matrix(corpus, [])
+
+    def test_traced_peak_is_near_what_x_keeps(self):
+        """The per-type CSRs are transformed as stored and merged in place of
+        a re-sort of every record: the traced peak stays within 2.5 times the
+        arrays X keeps."""
+        rng = np.random.default_rng(11)
+        ids = [f"c{i:04d}" for i in range(2000)]
+        rows = [(ids[i], f"t{t:03d}", "IC50", float(v))
+                for i, t, v in zip(rng.integers(0, 2000, 40_000),
+                                   rng.integers(0, 200, 40_000),
+                                   10 ** rng.uniform(0, 5, 40_000))]
+        corpus = Corpus.build(ids, (), rows)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            matrix = build_interaction_matrix(corpus, "IC50").matrix
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        kept = matrix.data.nbytes + matrix.indices.nbytes + matrix.indptr.nbytes
+        assert peak - before <= 2.5 * kept
 
     def test_values_in_legal_range(self, make_corpus):
         rng = np.random.default_rng(2)
@@ -770,6 +808,16 @@ class TestModelIO:
         path = tmp_path / "bad.tsv"
         path.write_text("\n".join(saved_lines) + "\n")
         with pytest.raises(FormatError, match="bad.tsv:15:"):
+            load_model(path)
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"],
+                             ids=["lf", "crlf", "cr"])
+    def test_non_utf8_byte_names_its_line(self, tmp_path, saved_lines,
+                                          newline):
+        path = tmp_path / "bad.tsv"
+        text = newline.join(saved_lines) + newline
+        path.write_bytes(text.replace("c2\t", "c2\xff\t").encode("latin-1"))
+        with pytest.raises(FormatError, match="bad.tsv:14: not UTF-8 text$"):
             load_model(path)
 
     def test_truncated_file_rejected(self, tmp_path, saved_lines):

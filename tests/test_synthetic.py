@@ -1,4 +1,5 @@
 import hashlib
+from pathlib import Path
 
 import pytest
 
@@ -52,13 +53,13 @@ class TestGeneration:
         paths_a, _ = generate_synthetic(SMALL, tmp_path / "a", seed=9)
         paths_b, _ = generate_synthetic(SMALL, tmp_path / "b", seed=9)
         for pa, pb in zip(paths_a, paths_b):
-            assert open(pa, "rb").read() == open(pb, "rb").read()
+            assert Path(pa).read_bytes() == Path(pb).read_bytes()
 
     def test_different_seed_differs(self, tmp_path):
         paths_a, _ = generate_synthetic(SMALL, tmp_path / "a", seed=1)
         paths_b, _ = generate_synthetic(SMALL, tmp_path / "b", seed=2)
-        assert open(paths_a.activities, "rb").read() \
-            != open(paths_b.activities, "rb").read()
+        assert Path(paths_a.activities).read_bytes() \
+            != Path(paths_b.activities).read_bytes()
 
     def test_activities_stay_in_cluster_without_noise(self, tmp_path):
         paths, truth = generate_synthetic(SMALL, tmp_path, seed=5)
@@ -88,7 +89,7 @@ class TestGeneration:
                              sources=("CF", "OC", "MORGAN"), label_noise=0.3,
                              activity_noise=0.3)
         paths, _ = generate_synthetic(spec, tmp_path, seed=5)
-        digests = {name: hashlib.sha256(open(path, "rb").read()).hexdigest()
+        digests = {name: hashlib.sha256(Path(path).read_bytes()).hexdigest()
                    for name, path in paths._asdict().items()}
         assert digests == {
             "compounds": "e5cbe491c84714c4fe039ca3290ca6a5"
